@@ -21,8 +21,6 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the paper-to-module map.
 """
 
-import warnings as _warnings
-
 from repro.api import PruneOptions, PruneResult, prune
 from repro.core.pipeline import AnalysisResult, analyze
 from repro.errors import StrayDocumentError, UnsupportedSchemaError
@@ -58,66 +56,3 @@ __all__ = [
     "prune",
     "prune_many",
 ]
-
-#: Pre-1.0-surface names that used to be re-exported here, mapped to the
-#: submodule that owns them.  Each resolves lazily (PEP 562) with a
-#: DeprecationWarning naming the canonical import — the strict-CI job
-#: runs with ``-W error::DeprecationWarning`` to keep the repo itself
-#: off this path.
-_DEPRECATED = {
-    "CacheStats": "repro.core.cache",
-    "DeadlineExceeded": "repro.errors",
-    "EncodingError": "repro.errors",
-    "FastPruner": "repro.projection.fastpath",
-    "Grammar": "repro.dtd.grammar",
-    "Interpretation": "repro.dtd.validator",
-    "LimitExceeded": "repro.errors",
-    "ProjectorCache": "repro.core.cache",
-    "PruneTable": "repro.projection.prunetable",
-    "QueryEngine": "repro.engine.executor",
-    "ReproError": "repro.errors",
-    "ResourceError": "repro.errors",
-    "XPathEvaluator": "repro.xpath.evaluator",
-    "XQueryEvaluator": "repro.xquery.evaluator",
-    "analyze_grammar": "repro.dtd.properties",
-    "analyze_query": "repro.core.pipeline",
-    "analyze_xquery": "repro.core.pipeline",
-    "compile_prune_table": "repro.projection.prunetable",
-    "default_cache": "repro.core.cache",
-    "grammar_fingerprint": "repro.core.cache",
-    "grammar_from_dtd": "repro.dtd.grammar",
-    "grammar_from_text": "repro.dtd.grammar",
-    "infer_projector": "repro.core.projector",
-    "infer_type": "repro.core.inference",
-    "looks_like_xquery": "repro.querylang",
-    "materialized_projector": "repro.core.projector",
-    "parse_document": "repro.xmltree.builder",
-    "parse_dtd": "repro.dtd.parser",
-    "prune_document": "repro.projection.tree",
-    "prune_events": "repro.projection.streaming",
-    "prune_file": "repro.projection.streaming",
-    "prune_stream": "repro.projection.streaming",
-    "prune_string": "repro.projection.streaming",
-    "serialize": "repro.xmltree.serializer",
-    "type_of_query": "repro.core.pipeline",
-    "validate": "repro.dtd.validator",
-}
-
-
-def __getattr__(name: str):
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"importing {name!r} from the top-level 'repro' package is "
-        f"deprecated; use 'from {home} import {name}' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))

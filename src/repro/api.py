@@ -47,7 +47,6 @@ from repro.projection.streaming import (
     _prune_events,
     _prune_file,
     _prune_stream,
-    _prune_string,
 )
 from repro.xmltree.events import Event
 from repro.xmltree.lexer import DEFAULT_CHUNK_SIZE
@@ -70,12 +69,9 @@ class PruneOptions:
       :class:`~repro.limits.Limits`, a profile name (``"strict"``,
       ``"default"``, ``"off"``), or ``None`` for the default profile.
       Violations raise :class:`~repro.errors.LimitExceeded` /
-      :class:`~repro.errors.DeadlineExceeded`.
-    * ``fallback`` — let the fast path degrade gracefully to the event
-      pipeline on inputs its bulk scan cannot handle (``True``, the
-      default); ``False`` surfaces the refusal instead, and ``"force"``
-      skips the fast attempt entirely (a test knob: it proves the
-      degraded path byte-identical to the fast one).
+      :class:`~repro.errors.DeadlineExceeded`.  Both pipelines charge
+      tokens by the same rule, so ``fast`` never changes the verdict on
+      a tag.
     """
 
     fast: bool = True
@@ -83,7 +79,6 @@ class PruneOptions:
     prune_attributes: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
     limits: "Limits | str | None" = None
-    fallback: "bool | str" = True
 
     # -- wire form (the service protocol ships options as JSON) -----------
 
@@ -91,7 +86,7 @@ class PruneOptions:
         """JSON-safe form: only the fields that differ from the defaults
         (``limits`` serializes as a profile name or a bounds dict)."""
         wire: dict[str, Any] = {}
-        for name in ("fast", "validate", "prune_attributes", "chunk_size", "fallback"):
+        for name in ("fast", "validate", "prune_attributes", "chunk_size"):
             value = getattr(self, name)
             if value != getattr(DEFAULT_OPTIONS, name):
                 wire[name] = value
@@ -109,9 +104,7 @@ class PruneOptions:
         limits = fields.pop("limits", None)
         if isinstance(limits, dict):
             limits = Limits.from_dict(limits)
-        unknown = set(fields) - {
-            "fast", "validate", "prune_attributes", "chunk_size", "fallback"
-        }
+        unknown = set(fields) - {"fast", "validate", "prune_attributes", "chunk_size"}
         if unknown:
             raise ValueError(f"unknown prune option(s): {sorted(unknown)}")
         return cls(limits=limits, **fields)
@@ -154,7 +147,6 @@ def _resolve_options(
     chunk_size: int | None,
     *,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
 ) -> PruneOptions:
     resolved = options if options is not None else DEFAULT_OPTIONS
     overrides: dict[str, Any] = {}
@@ -168,8 +160,6 @@ def _resolve_options(
         overrides["chunk_size"] = chunk_size
     if limits is not None:
         overrides["limits"] = limits
-    if fallback is not None:
-        overrides["fallback"] = fallback
     return replace(resolved, **overrides) if overrides else resolved
 
 
@@ -189,7 +179,6 @@ def prune(
     prune_attributes: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     ledger: "Ledger | None" = None,
     provenance: dict[str, Any] | None = None,
 ) -> PruneResult:
@@ -240,7 +229,7 @@ def prune(
 
     opts = _resolve_options(
         options, fast, validate, prune_attributes, chunk_size,
-        limits=limits, fallback=fallback,
+        limits=limits,
     )
     if getattr(grammar, "on_stray", None) is not None:
         return _prune_inferred(
@@ -320,7 +309,7 @@ def _prune_core(
             os.fspath(source), os.fspath(out), grammar, projector,  # type: ignore[arg-type]
             validate=opts.validate, fast=opts.fast,
             prune_attributes=opts.prune_attributes, chunk_size=opts.chunk_size,
-            limits=resolved_limits, fallback=opts.fallback,
+            limits=resolved_limits,
         )
         if led is not None:
             _ledger_record(ledger, led, "prune", stats,
@@ -341,7 +330,7 @@ def _prune_core(
             stream_source, sink, grammar, projector,
             validate=opts.validate, fast=opts.fast, chunk_size=opts.chunk_size,
             prune_attributes=opts.prune_attributes, stats=stats,
-            limits=resolved_limits, fallback=opts.fallback,
+            limits=resolved_limits,
         )
 
     def with_source(sink: IO[str]) -> None:

@@ -17,8 +17,6 @@ from repro.core.inference import Env, TypeInference, infer_type, initial_env
 from repro.core.pipeline import (
     AnalysisResult,
     analyze,
-    analyze_query,
-    analyze_xquery,
     type_of_query,
 )
 from repro.core.projector import (
@@ -37,8 +35,6 @@ __all__ = [
     "TypeInference",
     "TypeOperators",
     "analyze",
-    "analyze_query",
-    "analyze_xquery",
     "default_cache",
     "depth_unfolded_grammar",
     "fold_names",

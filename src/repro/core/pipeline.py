@@ -2,12 +2,14 @@
 
 This is the main user-facing entry point of the library::
 
-    from repro import analyze, prune_document
+    from repro import analyze
+    from repro.projection.tree import prune_document
     result = analyze(grammar, ["//book[author='Dante']/title"])
     pruned = prune_document(document, interpretation, result.projector)
 
-(``interpretation`` is the ℑ produced by :func:`repro.validate` — the
-pruner needs it to map nodes to grammar names, Definition 2.4.)
+(``interpretation`` is the ℑ produced by
+:func:`repro.dtd.validator.validate` — the pruner needs it to map nodes
+to grammar names, Definition 2.4.)
 
 The pipeline chains: parse → (Sections 3.3/4.3) approximation into XPathℓ
 → (Figure 2) projector inference, one projector per extracted path, and
@@ -25,7 +27,6 @@ the source of truth for analysis timing, with
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -175,16 +176,6 @@ def _query_language(query: "str | xp.Expr | PathL", language: str) -> str:
     if language not in ("xpath", "xquery"):
         raise AnalysisError(f"unknown query language {language!r}")
     return language
-
-
-def _analyze_xpath_query(
-    grammar: Grammar,
-    inference: ProjectorInference,
-    query: "str | xp.Expr | PathL",
-    materialize: bool,
-) -> tuple[frozenset[str], list[PathL]]:
-    """Projector + extracted paths for a single XPath query."""
-    return _analyze_approximation(grammar, inference, _to_pathl(query), materialize)
 
 
 def _analyze_approximation(
@@ -348,39 +339,3 @@ def type_of_query(grammar: Grammar, query: "str | xp.Expr | PathL") -> frozenset
     if rooted is None:
         return frozenset()
     return infer_type(grammar, rooted).tau
-
-
-# -- deprecated entry points --------------------------------------------------
-
-
-def analyze_query(
-    grammar: Grammar,
-    query: "str | xp.Expr | PathL",
-    materialize: bool = True,
-) -> frozenset[str]:
-    """Deprecated: use ``analyze(grammar, query, language="xpath")`` and
-    read ``.projector``."""
-    warnings.warn(
-        'analyze_query is deprecated; use analyze(grammar, query, '
-        'language="xpath").projector instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    inference = ProjectorInference(grammar)
-    projector, _ = _analyze_xpath_query(grammar, inference, query, materialize)
-    return projector
-
-
-def analyze_xquery(
-    grammar: Grammar,
-    queries: "list[str] | str",
-    rewrite: bool = True,
-) -> AnalysisResult:
-    """Deprecated: use ``analyze(grammar, queries, language="xquery")``."""
-    warnings.warn(
-        'analyze_xquery is deprecated; use analyze(grammar, queries, '
-        'language="xquery") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return analyze(grammar, queries, language="xquery", rewrite=rewrite)

@@ -27,13 +27,3 @@ __all__ = [
     "load_pruned",
     "load_pruned_validating",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated loader spellings stay importable from the subpackage but
-    # warn on access (module-level import would warn for everyone).
-    if name in ("load_for_queries", "load_many_for_queries"):
-        from repro.engine import loader
-
-        return getattr(loader, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -185,66 +185,3 @@ def load_many(
             span.merge_counters(result.stats.as_counters())
             reports.append(_report(span, document, model, prune_stats=result.stats))
     return reports, batch
-
-
-# -- deprecated spellings ----------------------------------------------------
-
-
-def load_for_queries(
-    source: Source,
-    grammar: Grammar,
-    queries: "list[str] | str",
-    strip_whitespace: bool = True,
-    validate: bool = False,
-    fast: bool = True,
-    model: MemoryModel = DEFAULT_MODEL,
-    cache: "ProjectorCache | None" = None,
-) -> LoadReport:
-    """Deprecated: analyze ``queries`` with :func:`repro.analyze` (or let
-    :func:`load_pruned` resolve them via the cache yourself) — this shim
-    forwards to :func:`load_pruned`."""
-    import warnings
-
-    warnings.warn(
-        "load_for_queries is deprecated; resolve the projector with "
-        "repro.analyze (or repro.core.cache.resolve_projector) and call "
-        "load_pruned instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.cache import default_cache
-
-    if cache is None:
-        cache = default_cache()
-    result = cache.analyze(grammar, queries)
-    return load_pruned(
-        source, grammar, result.projector,
-        strip_whitespace=strip_whitespace, validate=validate, fast=fast, model=model,
-    )
-
-
-def load_many_for_queries(
-    sources,
-    grammar: Grammar,
-    queries: "list[str] | str",
-    jobs: int | None = 1,
-    strip_whitespace: bool = True,
-    validate: bool = False,
-    fast: bool = True,
-    model: MemoryModel = DEFAULT_MODEL,
-    cache: "ProjectorCache | None" = None,
-):
-    """Deprecated: use :func:`load_many` (same behaviour; it also accepts
-    a pre-resolved projector)."""
-    import warnings
-
-    warnings.warn(
-        "load_many_for_queries is deprecated; use load_many instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return load_many(
-        sources, grammar, queries,
-        jobs=jobs, strip_whitespace=strip_whitespace, validate=validate,
-        fast=fast, model=model, cache=cache,
-    )

@@ -60,17 +60,13 @@ class ExtractOptions:
       ``False`` exists for benchmarking and debugging);
     * ``chunk_size`` — read granularity for streaming sources;
     * ``limits`` — resource bounds for the pass, as in
-      :class:`repro.api.PruneOptions`;
-    * ``fallback`` — the fast path's graceful degradation to the event
-      pipeline, as in :class:`repro.api.PruneOptions` (``"force"`` skips
-      the fast attempt — the differential tests' knob).
+      :class:`repro.api.PruneOptions`.
     """
 
     format: str = "jsonl"
     fast: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
     limits: "Limits | str | None" = None
-    fallback: "bool | str" = True
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -85,7 +81,7 @@ class ExtractOptions:
         """JSON-safe form: only the fields that differ from the defaults
         (``limits`` serializes as a profile name or a bounds dict)."""
         wire: dict[str, Any] = {}
-        for name in ("format", "fast", "chunk_size", "fallback"):
+        for name in ("format", "fast", "chunk_size"):
             value = getattr(self, name)
             if value != getattr(DEFAULT_EXTRACT_OPTIONS, name):
                 wire[name] = value
@@ -103,7 +99,7 @@ class ExtractOptions:
         limits = fields.pop("limits", None)
         if isinstance(limits, dict):
             limits = Limits.from_dict(limits)
-        unknown = set(fields) - {"format", "fast", "chunk_size", "fallback"}
+        unknown = set(fields) - {"format", "fast", "chunk_size"}
         if unknown:
             raise ValueError(f"unknown extract option(s): {sorted(unknown)}")
         return cls(limits=limits, **fields)
@@ -145,7 +141,6 @@ def _resolve_extract_options(
     chunk_size: int | None,
     *,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
 ) -> ExtractOptions:
     resolved = options if options is not None else DEFAULT_EXTRACT_OPTIONS
     overrides: dict[str, Any] = {}
@@ -157,8 +152,6 @@ def _resolve_extract_options(
         overrides["chunk_size"] = chunk_size
     if limits is not None:
         overrides["limits"] = limits
-    if fallback is not None:
-        overrides["fallback"] = fallback
     return replace(resolved, **overrides) if overrides else resolved
 
 
@@ -177,7 +170,6 @@ def extract(
     fast: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     cache: ProjectorCache | None = None,
     ledger: "Ledger | None" = None,
     provenance: "dict[str, Any] | None" = None,
@@ -199,7 +191,7 @@ def extract(
     be hashed without consuming them).
     """
     opts = _resolve_extract_options(
-        options, format, fast, chunk_size, limits=limits, fallback=fallback
+        options, format, fast, chunk_size, limits=limits
     )
     resolved_limits = resolve_limits(opts.limits)
     if getattr(grammar, "on_stray", None) is not None:
@@ -265,8 +257,7 @@ def extract(
         _extract_stream(
             stream_source, sink, grammar, projector, spec,
             format=opts.format, fast=opts.fast, chunk_size=opts.chunk_size,
-            stats=stats, limits=resolved_limits, fallback=opts.fallback,
-            collect=collect,
+            stats=stats, limits=resolved_limits, collect=collect,
         )
 
     def with_source(sink: IO[str], collect: "list[dict[str, Any]] | None") -> None:

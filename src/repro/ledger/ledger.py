@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,6 +59,12 @@ from repro.ledger.canonical import (
     hash_text,
 )
 from repro.projection.stats import PruneStats
+
+# The mode ``open()`` gives a new file under this process's umask (read
+# once: ``os.umask`` can only be queried by setting it).
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_BLOB_MODE = 0o666 & ~_UMASK
 
 __all__ = [
     "Ledger",
@@ -198,9 +205,16 @@ class ResultStore:
         if os.path.exists(final):
             return
         os.makedirs(self.root, exist_ok=True)
-        tmp = f"{final}.tmp.{os.getpid()}"
+        # One temp file per writer: threads of one process recording the
+        # same result at once must not share (and truncate) a file.
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(final) + ".tmp.", dir=self.root
+        )
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
+            # mkstemp makes the file owner-only; give the blob the mode
+            # ``open()`` would, so other accounts can still replay it.
+            os.chmod(tmp, _BLOB_MODE)
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(canonical_json(payload))
             os.replace(tmp, final)
         finally:

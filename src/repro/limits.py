@@ -45,8 +45,9 @@ class Limits:
     * ``max_depth`` — maximum element nesting depth (kept *or* pruned:
       bulk-skipped subtrees count too, so a hostile document cannot hide
       pathological nesting inside a discarded region);
-    * ``max_token_bytes`` — maximum size of one lexical token: a tag with
-      its attributes, one text run, a comment, a CDATA section;
+    * ``max_token_bytes`` — maximum size of one lexical token: a name,
+      an attribute value (quotes excluded), one text run, a comment, a
+      CDATA section (whitespace inside a tag is never a token);
     * ``max_input_bytes`` / ``max_output_bytes`` — total input consumed /
       output produced by the pass;
     * ``deadline`` — wall-clock seconds the pass may run for.
@@ -179,8 +180,7 @@ class LimitGuard:
 
     Hot-loop discipline: every check is a couple of attribute loads and an
     integer compare; the deadline is only consulted on buffer refills and
-    every :data:`TICK_EVERY` structural tokens (string sources never
-    refill, so the tick path is what bounds their wall clock).
+    every :data:`TICK_EVERY` structural tokens.
     """
 
     TICK_EVERY = 512
@@ -229,11 +229,16 @@ class LimitGuard:
 
     def add_input(self, chars: int) -> None:
         """Account for ``chars`` characters read from the source (called
-        per chunk refill, and once up front for string sources)."""
+        per chunk refill)."""
         self._input += chars
-        if self.max_input is not None and self._input > self.max_input:
-            raise LimitExceeded("input_bytes", self._input, self.max_input)
+        self.check_input(self._input)
         self.check_deadline()
+
+    def check_input(self, chars: int) -> None:
+        """Refuse an input of ``chars`` characters up front (a string
+        source's size is known before the first refill)."""
+        if self.max_input is not None and chars > self.max_input:
+            raise LimitExceeded("input_bytes", chars, self.max_input)
 
     def add_output(self, chars: int) -> None:
         """Account for ``chars`` characters written to the sink."""
@@ -248,10 +253,3 @@ class LimitGuard:
     def check_depth(self, depth: int) -> None:
         if self.max_depth is not None and depth > self.max_depth:
             raise LimitExceeded("depth", depth, self.max_depth)
-
-    def rewind(self) -> None:
-        """Reset the size counters for a fallback re-run of the same pass
-        (the deadline keeps running: wall clock is per *call*, and a
-        retry must not double the time budget)."""
-        self._input = 0
-        self._output = 0

@@ -381,7 +381,6 @@ def prune_many(
     prune_attributes: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     timeout: float | None = None,
     retry_crashes: bool = False,
     cache: ProjectorCache | None = None,
@@ -397,7 +396,7 @@ def prune_many(
     to a file there (see :func:`_output_paths` for naming); without it the
     pruned markup is collected per item.
 
-    ``limits`` / ``fallback`` apply per item exactly as in
+    ``limits`` applies per item exactly as in
     :func:`repro.prune`.  ``timeout`` (seconds) bounds each item's wall
     clock from the *outside*: a worker stuck past it is killed, that item
     gets a ``BatchError(kind="timeout")``, and the pool is respawned so
@@ -416,7 +415,7 @@ def prune_many(
         raise ValueError(f"timeout must be positive, got {timeout}")
     opts = _resolve_options(
         options, fast, validate, prune_attributes, chunk_size,
-        limits=limits, fallback=fallback,
+        limits=limits,
     )
     if timeout is not None and jobs == 1:
         resolved = resolve_limits(opts.limits)
@@ -474,7 +473,6 @@ def extract_many(
     fast: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     timeout: float | None = None,
     retry_crashes: bool = False,
     cache: ProjectorCache | None = None,
@@ -499,7 +497,7 @@ def extract_many(
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive, got {timeout}")
     opts = _resolve_extract_options(
-        options, format, fast, chunk_size, limits=limits, fallback=fallback
+        options, format, fast, chunk_size, limits=limits
     )
     if timeout is not None and jobs == 1:
         resolved = resolve_limits(opts.limits)

@@ -1,20 +1,13 @@
 """Type-driven projection: in-memory (Def 2.7) and streaming pruning.
 
 The unified streaming entry point is :func:`repro.prune` (see
-:mod:`repro.api`); ``prune_events`` / ``prune_stream`` / ``prune_file`` /
-``prune_string`` remain as deprecated aliases.
+:mod:`repro.api`).
 """
 
 from repro.projection.fastpath import FastPruner
 from repro.projection.prunetable import PruneTable, TagPlan, compile_prune_table
 from repro.projection.stats import PruneStats, compare_documents, measure_document
-from repro.projection.streaming import (
-    StreamingPruner,
-    prune_events,
-    prune_file,
-    prune_stream,
-    prune_string,
-)
+from repro.projection.streaming import StreamingPruner
 from repro.projection.tree import prune_document, prune_tree
 
 __all__ = [
@@ -27,9 +20,5 @@ __all__ = [
     "compare_documents",
     "measure_document",
     "prune_document",
-    "prune_events",
-    "prune_file",
-    "prune_stream",
-    "prune_string",
     "prune_tree",
 ]

@@ -69,38 +69,6 @@ class PruneStats:
             "tags_out": len(self.distinct_tags_out),
         }
 
-    def snapshot(self) -> tuple:
-        """Capture the counters so an aborted pass can be rolled back
-        (the fast→streaming fallback re-reads the document and must not
-        double-count what the abandoned fast pass already saw)."""
-        return (
-            self.elements_in,
-            self.elements_out,
-            self.texts_in,
-            self.texts_out,
-            self.attributes_in,
-            self.attributes_out,
-            self.bytes_in,
-            self.bytes_out,
-            set(self.distinct_tags_in),
-            set(self.distinct_tags_out),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Roll the counters back to a :meth:`snapshot`."""
-        (
-            self.elements_in,
-            self.elements_out,
-            self.texts_in,
-            self.texts_out,
-            self.attributes_in,
-            self.attributes_out,
-            self.bytes_in,
-            self.bytes_out,
-            self.distinct_tags_in,
-            self.distinct_tags_out,
-        ) = snap
-
     def merge(self, other: "PruneStats") -> "PruneStats":
         """Accumulate another pass's counters into this one (corpus-level
         aggregation for batch pruning); returns ``self``."""

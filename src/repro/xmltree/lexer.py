@@ -1,16 +1,18 @@
 """Buffered character scanner used by the streaming XML parser.
 
 The scanner reads from a string or any text-mode file object in fixed-size
-chunks, so the parser built on top of it is genuinely streaming: memory
-consumption is bounded by the chunk size plus the longest single token
-(tag, comment, text run), never by document size.  This property is what
-lets the pruner process arbitrarily large documents (Section 6 of the
-paper: "on our 512MB machine we were able to efficiently prune arbitrary
-large documents").
+chunks — a string is sliced chunk by chunk exactly like a stream — so the
+parser built on top of it is genuinely streaming: memory consumption is
+bounded by the chunk size plus the longest single token (tag, comment,
+text run), never by document size.  This property is what lets the
+pruner process arbitrarily large documents (Section 6 of the paper: "on
+our 512MB machine we were able to efficiently prune arbitrary large
+documents").
 """
 
 from __future__ import annotations
 
+import re
 from typing import IO, TYPE_CHECKING, Union
 
 from repro.errors import XMLSyntaxError
@@ -33,12 +35,34 @@ _NAME_CHARS_FAST = frozenset(
 )
 
 
+# What separates the names of an unquoted tag run (element and attribute
+# names): XML whitespace, ``=`` and ``/``.
+_TAG_RUN_SEPARATORS = re.compile(r"[ \t\r\n=/]+")
+_TAG_WHITESPACE = re.compile(r"[ \t\r\n]+")
+
+
 def is_name_start(char: str) -> bool:
     return char.isalpha() or char in _NAME_START_EXTRA or ord(char) > 127
 
 
 def is_name_char(char: str) -> bool:
     return char.isalnum() or char in _NAME_EXTRA or ord(char) > 127
+
+
+class _StringSource:
+    """A ``str`` read in chunks like a stream (each read is one slice, so
+    no second copy of the whole text is ever made)."""
+
+    __slots__ = ("_text", "_offset")
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+        self._offset = 0
+
+    def read(self, size: int) -> str:
+        start = self._offset
+        self._offset = start + size
+        return self._text[start : start + size]
 
 
 class Scanner:
@@ -63,24 +87,21 @@ class Scanner:
     ) -> None:
         self._guard = guard
         if isinstance(source, str):
-            self._source: IO[str] | None = None
-            self._buffer = source
-            self._eof = True
-            # A string source is "read" in one piece: account for it up
-            # front so max_input_bytes trips before any scanning begins.
+            # The whole size is known up front: let max_input_bytes trip
+            # before any scanning begins.
             if guard is not None:
-                guard.add_input(len(source))
-        else:
-            self._source = source
-            self._buffer = ""
-            self._eof = False
+                guard.check_input(len(source))
+            source = _StringSource(source)
+        self._source = source
+        self._buffer = ""
+        self._eof = False
         self._position = 0
         self._chunk_size = chunk_size
         self._line = 1
         # Offset (in total consumed characters) where the current line began;
         # used to derive a column number for error messages.
         self._line_start_offset = 0
-        self._consumed = 0  # characters dropped by buffer compaction
+        self._consumed = 0  # characters dropped from the buffer on refill
 
     @property
     def guard(self) -> "LimitGuard | None":
@@ -113,20 +134,18 @@ class Scanner:
 
     def _fill(self, needed: int) -> None:
         """Ensure at least ``needed`` characters are available after the
-        current position, unless EOF intervenes."""
-        if self._eof:
+        current position, unless EOF intervenes.  A refill first drops the
+        consumed prefix, so the buffer never holds more than the unread
+        tail plus the chunks just read."""
+        if self._eof or len(self._buffer) - self._position >= needed:
             return
-        assert self._source is not None
-        if self._position and self._position >= len(self._buffer):
-            # Fully-consumed buffer: drop it before refilling so the
-            # ``+=`` below binds the fresh chunk directly (CPython returns
-            # the chunk itself when concatenating onto ``""``) instead of
-            # copying the dead prefix along with it.  Diagnostics only
-            # depend on ``consumed + position``, which is preserved.
+        if self._position:
+            # Diagnostics only depend on ``consumed + position``, which
+            # is preserved.
             self._consumed += self._position
-            self._buffer = ""
+            self._buffer = self._buffer[self._position :]
             self._position = 0
-        while len(self._buffer) - self._position < needed:
+        while len(self._buffer) < needed:
             chunk = self._source.read(self._chunk_size)
             if not chunk:
                 self._eof = True
@@ -137,13 +156,6 @@ class Scanner:
                 # to stop).
                 self._guard.add_input(len(chunk))
             self._buffer += chunk
-
-    def _compact(self) -> None:
-        """Drop already-consumed characters so the buffer stays small."""
-        if self._position > self._chunk_size:
-            self._consumed += self._position
-            self._buffer = self._buffer[self._position :]
-            self._position = 0
 
     def _count_newlines(self, text: str) -> None:
         newlines = text.count("\n")
@@ -183,7 +195,6 @@ class Scanner:
         if char == "\n":
             self._line += 1
             self._line_start_offset = self._consumed + self._position
-        self._compact()
         return char
 
     # -- multi character protocol ------------------------------------------
@@ -197,7 +208,6 @@ class Scanner:
         if self.startswith(prefix):
             self._count_newlines(prefix)
             self._position += len(prefix)
-            self._compact()
             return True
         return False
 
@@ -221,7 +231,6 @@ class Scanner:
                     guard.check_token(total + len(text))
                 self._count_newlines(text + delimiter)
                 self._position = index + len(delimiter)
-                self._compact()
                 pieces.append(text)
                 return "".join(pieces)
             if self._eof:
@@ -241,15 +250,9 @@ class Scanner:
                     # buffer an over-limit token before refusing it.
                     total += len(text)
                     guard.check_token(total)
-            # Progress is measured in absolute stream offset: _fill may
-            # drop the consumed prefix (and _compact shifts it), so the
-            # buffer length alone can stay equal while new data arrived.
-            before = self._consumed + len(self._buffer)
+            # A refill that finds no more input sets EOF, which the loop
+            # head turns into the error.
             self._fill(len(self._buffer) - self._position + self._chunk_size)
-            self._compact()
-            if self._consumed + len(self._buffer) == before and self._eof:
-                where = f" in {context}" if context else ""
-                raise self.error(f"unexpected end of input looking for {delimiter!r}{where}")
 
     def read_until_any(self, delimiters: str) -> str:
         """Consume and return everything up to (not including) the nearest
@@ -270,7 +273,6 @@ class Scanner:
                     guard.check_token(total + len(text))
                 self._count_newlines(text)
                 self._position = best
-                self._compact()
                 pieces.append(text)
                 return "".join(pieces)
             text = self._buffer[self._position :]
@@ -283,11 +285,7 @@ class Scanner:
                     guard.check_token(total)
             if self._eof:
                 return "".join(pieces)
-            before = len(self._buffer)
             self._fill(self._chunk_size)
-            self._compact()
-            if len(self._buffer) - self._position == 0 and self._eof:
-                return "".join(pieces)
 
     def skip_until(self, delimiter: str, context: str = "") -> None:
         """:meth:`read_until` without materialising the skipped text — the
@@ -297,7 +295,6 @@ class Scanner:
             if index != -1:
                 self._count_newlines(self._buffer[self._position : index] + delimiter)
                 self._position = index + len(delimiter)
-                self._compact()
                 return
             if self._eof:
                 where = f" in {context}" if context else ""
@@ -309,13 +306,7 @@ class Scanner:
             if text:
                 self._count_newlines(text)
                 self._position = cut
-            # Absolute-offset progress check (see read_until).
-            before = self._consumed + len(self._buffer)
             self._fill(len(self._buffer) - self._position + self._chunk_size)
-            self._compact()
-            if self._consumed + len(self._buffer) == before and self._eof:
-                where = f" in {context}" if context else ""
-                raise self.error(f"unexpected end of input looking for {delimiter!r}{where}")
 
     def skip_until_any(self, delimiters: str) -> bool:
         """:meth:`read_until_any` without materialising the skipped text;
@@ -333,7 +324,6 @@ class Scanner:
                     self._count_newlines(self._buffer[self._position : best])
                     self._position = best
                     skipped = True
-                self._compact()
                 return skipped
             if len(self._buffer) > self._position:
                 self._count_newlines(self._buffer[self._position :])
@@ -341,11 +331,7 @@ class Scanner:
                 skipped = True
             if self._eof:
                 return skipped
-            before = len(self._buffer)
             self._fill(self._chunk_size)
-            self._compact()
-            if len(self._buffer) - self._position == 0 and self._eof:
-                return skipped
 
     def skip_text_open(self) -> tuple[bool, bool, str]:
         """Bulk helper for the fused pruner's skip loop: consume one
@@ -365,7 +351,6 @@ class Scanner:
                     self._count_newlines(buffer[position:amp])
                     self._position = amp
                     skipped = True
-                    self._compact()
                 return skipped, False, "&"
             if lt != -1:
                 if lt > position:
@@ -373,7 +358,6 @@ class Scanner:
                     skipped = True
                 self._position = lt + 1
                 self._fill(1)
-                self._compact()
                 buffer = self._buffer
                 if self._position < len(buffer):
                     return skipped, True, buffer[self._position]
@@ -385,33 +369,47 @@ class Scanner:
             if self._eof:
                 return skipped, False, ""
             self._fill(self._chunk_size)
-            self._compact()
-            if len(self._buffer) - self._position == 0 and self._eof:
-                return skipped, False, ""
 
     def read_tag_content(self, context: str = "tag") -> str:
         """Consume up to and including the next *unquoted* ``>``,
         returning the text before it.  ``>`` inside a quoted attribute
         value does not terminate the tag.  Bulk operation — the fused
-        pruner reads whole tags this way instead of char-by-char."""
+        pruner reads whole tags this way instead of char-by-char.
+
+        The tag is charged by the event parser's token rule, so both
+        pipelines refuse exactly the same tags: a quoted attribute value
+        is one token, quotes excluded; each name is one token; whitespace,
+        ``=`` and ``/`` are never tokens.  A run (a value, or the unquoted
+        stretch between values) is looked at only once it is longer than
+        ``max_token_bytes``, so the hot path pays one comparison per run.
+        Past that point an unquoted run is charged name by name on every
+        refill and its whitespace is collapsed (see :meth:`_collapse_run`),
+        so the tag never holds more than ``chunk_size`` plus a few limits.
+        """
         pieces: list[str] = []
         quote = ""
-        total = 0
+        run = 0  # ``carry`` plus the characters in ``pieces[start:]``
+        start = 0  # index in ``pieces`` of the run's unchecked characters
+        carry = 0  # length of the checked name they continue
+        kept = 0  # characters kept of the collapsed part of an unquoted run
         guard = self._guard
+        limit = guard.max_token if guard is not None else None
         while True:
             buffer = self._buffer
             position = self._position
             if quote:
                 index = buffer.find(quote, position)
                 if index != -1:
+                    run += index - position
+                    if limit is not None and run > limit:
+                        guard.check_token(run)
                     text = buffer[position : index + 1]
                     self._count_newlines(text)
                     self._position = index + 1
                     pieces.append(text)
-                    if guard is not None:
-                        total += len(text)
-                        guard.check_token(total)
                     quote = ""
+                    run = carry = kept = 0
+                    start = len(pieces)
                     continue
             else:
                 gt = buffer.find(">", position)
@@ -422,44 +420,75 @@ class Scanner:
                 else:
                     dq = buffer.find('"', position)
                     sq = buffer.find("'", position)
-                nearest_quote = dq if sq == -1 else sq if dq == -1 else min(dq, sq)
-                if nearest_quote != -1:
-                    text = buffer[position : nearest_quote + 1]
+                stop = dq if sq == -1 else sq if dq == -1 else min(dq, sq)
+                if stop == -1:
+                    stop = gt
+                if stop != -1:
+                    run += stop - position
+                    if limit is not None and run > limit:
+                        self._charge_names("".join(pieces[start:]) + buffer[position:stop], carry)
+                    if stop == gt:
+                        text = buffer[position:gt]
+                        self._count_newlines(text)
+                        self._position = gt + 1
+                        pieces.append(text)
+                        return "".join(pieces)
+                    text = buffer[position : stop + 1]
                     self._count_newlines(text)
-                    self._position = nearest_quote + 1
+                    self._position = stop + 1
                     pieces.append(text)
-                    if guard is not None:
-                        total += len(text)
-                        guard.check_token(total)
-                    quote = buffer[nearest_quote]
+                    quote = buffer[stop]
+                    run = carry = kept = 0
+                    start = len(pieces)
                     continue
-                if gt != -1:
-                    text = buffer[position:gt]
-                    if guard is not None:
-                        guard.check_token(total + len(text))
-                    self._count_newlines(text)
-                    self._position = gt + 1
-                    self._compact()
-                    pieces.append(text)
-                    return "".join(pieces)
             text = buffer[position:]
             if text:
                 self._count_newlines(text)
                 pieces.append(text)
                 self._position = len(buffer)
-                if guard is not None:
-                    total += len(text)
-                    guard.check_token(total)
+                run += len(text)
+                if limit is not None and run > limit:
+                    if quote:
+                        # Bound the accumulation of a value itself: a stream
+                        # must not buffer an over-limit value before refusing.
+                        guard.check_token(run)
+                    else:
+                        carry, kept = self._collapse_run(pieces, start, carry, kept, context)
+                        start = len(pieces)
+                        run = carry
             if self._eof:
                 where = f" in {context}" if context else ""
                 raise self.error(f"unexpected end of input looking for '>'{where}")
-            # Absolute-offset progress check (see read_until).
-            before = self._consumed + len(self._buffer)
             self._fill(self._chunk_size)
-            self._compact()
-            if self._consumed + len(self._buffer) == before and self._eof:
-                where = f" in {context}" if context else ""
-                raise self.error(f"unexpected end of input looking for '>'{where}")
+
+    def _charge_names(self, text: str, carry: int) -> int:
+        """Charge every name in an unquoted tag run, the first one
+        continuing a name of ``carry`` characters already read; return
+        the length of the name still open at the end of ``text``."""
+        lengths = [len(name) for name in _TAG_RUN_SEPARATORS.split(text)]
+        lengths[0] += carry
+        self._guard.check_token(max(lengths))
+        return lengths[-1]
+
+    def _collapse_run(
+        self, pieces: list[str], start: int, carry: int, kept: int, context: str
+    ) -> tuple[int, int]:
+        """Charge the names in ``pieces[start:]``, an over-long stretch of
+        an unquoted tag run, then replace those pieces with one in which
+        each whitespace run is a single space (the tag's consumers treat
+        any whitespace alike).  Returns the open name's length and the
+        characters kept of the run so far: the event parser skips
+        whitespace in constant memory, and so does this."""
+        text = _TAG_WHITESPACE.sub(" ", "".join(pieces[start:]))
+        carry = self._charge_names(text, carry)
+        if text[:1] == " " and start and pieces[start - 1][-1:] == " ":
+            text = text[1:]  # the space ending the previous stretch covers it
+        kept += len(text)
+        if kept > 2 * self._guard.max_token + 8:
+            # Two names, ``=`` and single spaces fill a well-formed run.
+            raise self.error(f"malformed {context}")
+        pieces[start:] = [text] if text else []
+        return carry, kept
 
     def read_while(self, predicate) -> str:
         """Consume the longest prefix whose characters satisfy ``predicate``."""
@@ -484,7 +513,6 @@ class Scanner:
             if position > start:
                 self._count_newlines(buffer[start:position])
                 self._position = position
-                self._compact()
             if position < end or self._eof:
                 return
 
@@ -508,13 +536,14 @@ class Scanner:
                     break
             if end < length or self._eof:
                 break
-            self._fill(end - self._position + 1)
-            if len(self._buffer) == length:
-                break
+            # The refill drops the consumed prefix: rebase on the new buffer.
+            offset = end - position
+            self._fill(offset + 1)
             buffer = self._buffer
+            position = self._position
+            end = position + offset
         if self._guard is not None:
             self._guard.check_token(end - position)
         name = buffer[position:end]
         self._position = end  # names contain no newlines
-        self._compact()
         return name

@@ -66,13 +66,15 @@ def test_public_callables_are_the_canonical_objects():
     assert repro.extract_many is extract_many
 
 
-def test_legacy_names_are_off_the_surface_but_warn():
-    """Nothing deprecated hides in __all__, and every deprecated name
-    still resolves (with its warning) — the shim map and the surface
-    are disjoint by construction."""
-    assert not set(repro._DEPRECATED) & set(repro.__all__)
-    for name in ("grammar_from_text", "parse_document", "serialize"):
-        with pytest.warns(DeprecationWarning):
+def test_legacy_names_are_gone():
+    """The pre-1.0 top-level re-exports and per-source entry points were
+    removed after their deprecation cycles: they live only in their
+    submodules now."""
+    for name in (
+        "grammar_from_text", "parse_document", "serialize",
+        "prune_string", "prune_file", "analyze_query", "analyze_xquery",
+    ):
+        with pytest.raises(AttributeError):
             getattr(repro, name)
 
 
@@ -91,7 +93,7 @@ def test_submodules_stay_importable():
         assert importlib.import_module(module) is not None
 
 
-def test_dir_offers_both_surface_and_shims():
+def test_dir_offers_the_surface():
     names = dir(repro)
     assert set(EXPECTED) <= set(names)
-    assert "serialize" in names and "grammar_from_text" in names
+    assert "serialize" not in names and "grammar_from_text" not in names

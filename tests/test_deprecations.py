@@ -1,163 +1,12 @@
-"""The deprecated entry points still work — and warn.
+"""Compatibility aliases that outlived the deleted entry-point shims.
 
-This is the only module allowed to call them; CI runs the rest of the
-suite with ``-W error::DeprecationWarning`` to keep internal code off the
-old names.
+The old ``prune_*``/``analyze_*``/``load_*_for_queries`` entry points and
+the top-level re-export table are gone. What remains is the computed
+:attr:`AnalysisResult.analysis_seconds` property, an alias for
+``span.seconds`` that callers may still read.
 """
 
-import io
-
-import pytest
-
-from repro import prune
-from repro.core.pipeline import analyze, analyze_query, analyze_xquery
-from repro.dtd.grammar import text_name
-from repro.projection.streaming import (
-    prune_events,
-    prune_file,
-    prune_stream,
-    prune_string,
-)
-from repro.xmltree.parser import parse_events
-from tests.conftest import BOOK_XML
-
-
-@pytest.fixture()
-def projector(book_grammar):
-    return book_grammar.projector_closure(["title", text_name("title")])
-
-
-class TestPruneShims:
-    def test_prune_string_warns_and_matches_facade(self, book_grammar, projector):
-        with pytest.warns(DeprecationWarning, match="prune_string"):
-            text, stats = prune_string(BOOK_XML, book_grammar, projector)
-        modern = prune(BOOK_XML, book_grammar, projector)
-        assert text == modern.text
-        assert stats.as_counters() == modern.stats.as_counters()
-
-    def test_prune_stream_warns(self, book_grammar, projector):
-        sink = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="prune_stream"):
-            stats = prune_stream(io.StringIO(BOOK_XML), sink, book_grammar, projector)
-        assert stats.bytes_out == len(sink.getvalue()) > 0
-
-    def test_prune_file_warns(self, book_grammar, projector, tmp_path):
-        source = tmp_path / "in.xml"
-        source.write_text(BOOK_XML)
-        target = tmp_path / "out.xml"
-        with pytest.warns(DeprecationWarning, match="prune_file"):
-            stats = prune_file(str(source), str(target), book_grammar, projector)
-        assert target.exists() and stats.bytes_in > stats.bytes_out
-
-    def test_prune_events_warns(self, book_grammar, projector):
-        with pytest.warns(DeprecationWarning, match="prune_events"):
-            events = prune_events(parse_events(BOOK_XML), book_grammar, projector)
-        assert len(list(events)) > 0
-
-    def test_package_still_exports_old_names(self):
-        import repro
-
-        for name in ("prune_string", "prune_file", "prune_stream", "prune_events"):
-            with pytest.warns(DeprecationWarning, match=name):
-                assert getattr(repro, name) is not None
-
-
-class TestAnalyzeShims:
-    def test_analyze_query_warns_and_matches(self, book_grammar):
-        with pytest.warns(DeprecationWarning, match="analyze_query"):
-            old = analyze_query(book_grammar, "//title")
-        assert old == analyze(book_grammar, "//title").projector
-
-    def test_analyze_query_materialize_flag(self, book_grammar):
-        with pytest.warns(DeprecationWarning):
-            old = analyze_query(book_grammar, "//book", materialize=False)
-        assert old == analyze(book_grammar, "//book", materialize=False).projector
-
-    def test_analyze_xquery_warns_and_matches(self, book_grammar):
-        query = "for $b in /bib/book return $b/title"
-        with pytest.warns(DeprecationWarning, match="analyze_xquery"):
-            old = analyze_xquery(book_grammar, query)
-        new = analyze(book_grammar, query, language="xquery")
-        assert old.projector == new.projector
-
-    def test_analyze_xquery_rewrite_flag(self, book_grammar):
-        query = (
-            "for $y in /bib//node() return "
-            "if ($y/author) then $y/author else ()"
-        )
-        with pytest.warns(DeprecationWarning):
-            old = analyze_xquery(book_grammar, query, rewrite=False)
-        assert old.projector == analyze(
-            book_grammar, query, language="xquery", rewrite=False
-        ).projector
-
-    def test_package_still_exports_old_names(self):
-        import repro
-
-        for name in ("analyze_query", "analyze_xquery"):
-            with pytest.warns(DeprecationWarning, match=name):
-                assert getattr(repro, name) is not None
-
-
-class TestLoaderShims:
-    def test_load_for_queries_warns_and_matches(self, book_grammar):
-        from repro.engine.loader import load_for_queries, load_pruned
-
-        with pytest.warns(DeprecationWarning, match="load_for_queries"):
-            old = load_for_queries(BOOK_XML, book_grammar, ["//title"])
-        projector = analyze(book_grammar, ["//title"]).projector
-        new = load_pruned(BOOK_XML, book_grammar, projector)
-        assert old.nodes_built == new.nodes_built
-        assert old.model_bytes == new.model_bytes
-
-    def test_load_many_for_queries_warns_and_matches(self, book_grammar):
-        from repro.engine.loader import load_many, load_many_for_queries
-
-        with pytest.warns(DeprecationWarning, match="load_many_for_queries"):
-            old_reports, old_batch = load_many_for_queries(
-                [BOOK_XML, BOOK_XML], book_grammar, "//title"
-            )
-        new_reports, new_batch = load_many(
-            [BOOK_XML, BOOK_XML], book_grammar, "//title"
-        )
-        assert [r.nodes_built for r in old_reports] == [
-            r.nodes_built for r in new_reports
-        ]
-        assert old_batch.succeeded == new_batch.succeeded == 2
-
-    def test_engine_package_still_resolves_old_names(self):
-        import repro.engine
-
-        assert repro.engine.load_for_queries is not None
-        assert repro.engine.load_many_for_queries is not None
-
-
-class TestPackageFacadeShims:
-    """Every pre-redesign top-level re-export resolves — with a warning
-    naming its canonical submodule — and is the same object."""
-
-    def test_legacy_names_warn_and_resolve(self):
-        import importlib
-
-        import repro
-
-        for name, home in sorted(repro._DEPRECATED.items()):
-            with pytest.warns(DeprecationWarning, match=name):
-                value = getattr(repro, name)
-            assert value is getattr(importlib.import_module(home), name)
-
-    def test_unknown_names_still_raise(self):
-        import repro
-
-        with pytest.raises(AttributeError):
-            repro.definitely_not_a_name
-
-    def test_legacy_serialize_round_trip(self, book_document):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="repro.xmltree.serializer"):
-            markup = repro.serialize(book_document)
-        assert "<title>" in markup
+from repro.core.pipeline import analyze
 
 
 class TestAnalysisSecondsCompatibility:

@@ -193,11 +193,11 @@ class TestExtractFacade:
             {"all_titles": "Divina CommediaDante132012"}
         ]
 
-    def test_forced_fallback_is_identical(self, book_grammar):
+    def test_event_pipeline_is_identical(self, book_grammar):
         fused = extract(BOOK_XML, book_grammar, SPEC)
-        forced = extract(BOOK_XML, book_grammar, SPEC, fallback="force")
-        assert forced.text == fused.text
-        assert forced.records == fused.records
+        events = extract(BOOK_XML, book_grammar, SPEC, fast=False)
+        assert events.text == fused.text
+        assert events.records == fused.records
 
     def test_agrees_with_reference_oracle(self, book_grammar):
         result = extract(BOOK_XML, book_grammar, SPEC)

@@ -412,6 +412,55 @@ class TestConcurrencyAndCrashes:
                 range(1, len(ledger) + 1)
             )
 
+    def test_threads_storing_the_same_result_all_succeed(self, tmp_path):
+        """8 threads store the same digest at once (service threads
+        recording one output): each writes its own temporary file, so
+        every put succeeds, the blob re-hashes to its digest and no
+        temporary file is left behind."""
+        from repro.ledger.ledger import ResultStore
+
+        text = "<a>" + "x" * 200_000 + "</a>"
+        digest = hash_text(text)
+        store = ResultStore(str(tmp_path / "store"))
+        barrier = threading.Barrier(8)
+        errors: list[BaseException] = []
+
+        def put() -> None:
+            try:
+                barrier.wait(timeout=30)
+                store.put(digest, {"text": text})
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=put) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "store thread wedged"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert hash_text(store.get(digest)["text"]) == digest
+        assert os.listdir(store.root) == [digest + ".json"]
+
+    def test_blob_gets_the_mode_open_would_give(self, tmp_path):
+        """Blobs are written through a private temporary file but keep
+        the umask-derived mode of a plain ``open()``, so a replay run
+        under another account can still read them."""
+        from repro.ledger.ledger import ResultStore
+
+        store = ResultStore(str(tmp_path / "store"))
+        digest = hash_text("<a/>")
+        store.put(digest, {"text": "<a/>"})
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        blob = os.path.join(store.root, digest + ".json")
+        assert os.stat(blob).st_mode & 0o777 == reference.stat().st_mode & 0o777
+
     def test_writer_killed_mid_append_costs_one_partial_line(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         with Ledger(path, fsync=True) as ledger:

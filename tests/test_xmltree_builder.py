@@ -1,6 +1,7 @@
 """TreeBuilder and scanner behaviour tests."""
 
 import io
+import re
 
 import pytest
 
@@ -136,6 +137,44 @@ class TestScanner:
         text = scanner.read_until("|")
         assert len(text) == 100_000
         assert scanner.read_until_any("") == "end"
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "events"])
+    def test_string_source_buffer_stays_chunk_bounded(self, monkeypatch, fast):
+        """A ``str`` source is read in chunks like a stream: the buffer
+        never holds more than one chunk plus the longest token, however
+        long the document."""
+        from repro import prune
+        from repro.dtd.grammar import grammar_from_text
+
+        grammar = grammar_from_text(
+            "<!ELEMENT bib (book*)><!ELEMENT book (title)>"
+            "<!ATTLIST book note CDATA #IMPLIED><!ELEMENT title (#PCDATA)>",
+            "bib",
+        )
+        doc = (
+            "<bib>"
+            + "".join(
+                f'<book note="{"n" * (i % 7 * 150)}"><title>{"t" * (i % 11 * 40)}'
+                "</title></book>\n"
+                for i in range(400)
+            )
+            + "</bib>"
+        )
+        chunk_size = 512
+        longest = max(map(len, re.findall(r"<[^>]*>|[^<]+", doc)))
+        peak = 0
+        fill = Scanner._fill
+
+        def spy(scanner, needed):
+            nonlocal peak
+            fill(scanner, needed)
+            peak = max(peak, len(scanner._buffer))
+
+        monkeypatch.setattr(Scanner, "_fill", spy)
+        for projector in ({"bib"}, {"bib", "book", "title"}):
+            prune(doc, grammar, projector, fast=fast, chunk_size=chunk_size)
+        assert len(doc) > 100 * chunk_size
+        assert 0 < peak <= chunk_size + longest
 
     def test_read_until_after_buffer_drop_at_eof(self):
         # Regression: when _fill drops a fully-consumed buffer whose length
