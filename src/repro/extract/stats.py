@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(slots=True)
@@ -49,10 +49,7 @@ class ExtractStats:
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "ExtractStats":
-        names = {
-            "rows_out", "fields_out", "nulls_out", "bytes_in", "bytes_out"
-        }
-        unknown = set(data) - names
+        unknown = set(data) - {spec.name for spec in fields(cls)}
         if unknown:
             raise ValueError(f"unknown extract stats field(s): {sorted(unknown)}")
         return cls(**data)

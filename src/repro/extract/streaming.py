@@ -147,27 +147,8 @@ def iter_records(
 # -- internal pipelines (used by the repro.extract facade) --------------------
 
 
-def _records_pass(
-    events: Iterable[Event],
-    spec: ExtractSpec,
-    writer,
-    stats: ExtractStats,
-    collect: "list[dict[str, Any]] | None",
-) -> None:
-    writer.start()
-    width = len(spec.fields)
-    for record in iter_records(events, spec):
-        row = writer.write(record)
-        nulls = sum(1 for value in record.values() if value is None)
-        stats.rows_out += 1
-        stats.nulls_out += nulls
-        stats.fields_out += width - nulls
-        if collect is not None:
-            collect.append(row)
-
-
 def _extract_stream(
-    source: Source,
+    source: "Source | Iterable[Event]",
     sink: IO[str],
     grammar: Grammar,
     projector: frozenset[str] | set[str],
@@ -179,35 +160,53 @@ def _extract_stream(
     stats: ExtractStats | None = None,
     limits: "Limits | None" = None,
     collect: "list[dict[str, Any]] | None" = None,
+    parsed: bool = False,
 ) -> ExtractStats:
     """Parse → prune → assemble → encode with constant memory.
 
-    ``source`` is XML text or a text-mode file object; ``sink`` receives
-    encoded JSONL/CSV lines.  ``collect`` (a list) additionally receives
-    the NULL-substituted record dicts.  Mirrors
+    ``source`` is XML text or a text-mode file object — or, with
+    ``parsed``, an already-parsed (unpruned) event iterable, for which
+    ``fast`` is moot; ``sink`` receives encoded JSONL/CSV lines.
+    ``collect`` (a list) additionally receives the NULL-substituted
+    record dicts.  Mirrors
     :func:`repro.projection.streaming._prune_stream` for limits and
     encoding-error mapping.
     """
     if stats is None:
         stats = ExtractStats()
     guard = limits.guard() if limits is not None else None
+    fused = fast and not parsed
     tracer = get_tracer()
     with tracer.span(
-        "extract", mode="fast" if fast else "events", format=format
+        "extract", mode="fast" if fused else "events", format=format
     ) as span:
         governed = _GovernedSink(sink, guard)
         try:
-            if fast:
+            if fused:
                 events = FastPruner(grammar, projector, guard=guard).events(
                     source, chunk_size
+                )
+            elif parsed:
+                # No guarded parser upstream: the pruner checks depth and
+                # token sizes itself.
+                events = StreamingPruner(grammar, projector, guard=guard).process(
+                    source
                 )
             else:
                 events = StreamingPruner(grammar, projector).process(
                     parse_events(source, chunk_size, guard=guard)
                 )
-            _records_pass(
-                events, spec, record_writer(format, spec, governed), stats, collect
-            )
+            writer = record_writer(format, spec, governed)
+            writer.start()
+            width = len(spec.fields)
+            for record in iter_records(events, spec):
+                row = writer.write(record)
+                nulls = sum(1 for value in record.values() if value is None)
+                stats.rows_out += 1
+                stats.nulls_out += nulls
+                stats.fields_out += width - nulls
+                if collect is not None:
+                    collect.append(row)
             stats.bytes_out = governed.written
         except UnicodeError as exc:
             raise EncodingError(str(exc)) from exc

@@ -77,25 +77,11 @@ __all__ = [
 
 LedgerKey = "tuple[str, str, str, str]"
 
-_PRUNE_STATS_FIELDS = (
-    "elements_in", "elements_out", "texts_in", "texts_out",
-    "attributes_in", "attributes_out", "bytes_in", "bytes_out",
-)
-
 
 def encode_stats(stats: "PruneStats | ExtractStats") -> dict[str, Any]:
-    """Stats as a canonical-JSON-safe dict (sets become sorted lists).
-    Local to the ledger on purpose: the service protocol's wire helpers
-    live behind the service package import, which the ledger must not
-    drag in."""
-    if isinstance(stats, ExtractStats):
-        return {"kind": "extract", **stats.as_dict()}
-    wire: dict[str, Any] = {"kind": "prune"}
-    for name in _PRUNE_STATS_FIELDS:
-        wire[name] = getattr(stats, name)
-    wire["distinct_tags_in"] = sorted(stats.distinct_tags_in)
-    wire["distinct_tags_out"] = sorted(stats.distinct_tags_out)
-    return wire
+    """Stats as a canonical-JSON-safe dict, tagged with their kind."""
+    kind = "extract" if isinstance(stats, ExtractStats) else "prune"
+    return {"kind": kind, **stats.as_dict()}
 
 
 def decode_stats(data: dict[str, Any]) -> "PruneStats | ExtractStats":
@@ -103,11 +89,7 @@ def decode_stats(data: dict[str, Any]) -> "PruneStats | ExtractStats":
     a dedup hit must report stats ``==`` to the recorded fresh run's."""
     data = dict(data)
     kind = data.pop("kind", "prune")
-    if kind == "extract":
-        return ExtractStats.from_dict(data)
-    data["distinct_tags_in"] = set(data.get("distinct_tags_in", ()))
-    data["distinct_tags_out"] = set(data.get("distinct_tags_out", ()))
-    return PruneStats(**data)
+    return (ExtractStats if kind == "extract" else PruneStats).from_dict(data)
 
 
 @dataclass(slots=True, frozen=True)

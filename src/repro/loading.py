@@ -53,6 +53,7 @@ from typing import IO, Iterable
 
 from repro.dtd.grammar import Grammar
 from repro.errors import ReproError
+from repro.runplan import _is_markup
 
 __all__ = ["load_grammar"]
 
@@ -73,7 +74,7 @@ def _detect(source: "str | os.PathLike[str] | IO[str]") -> str:
             return "xmark"
         if _looks_like_dtd(source):
             return "dtd"
-        if source.lstrip().startswith("<"):
+        if _is_markup(source):
             # Inline markup.  An XSD is itself an XML document, so the
             # schema sniff must come before the generic XML branch or
             # the schema would be summarised as a sample document.
@@ -122,7 +123,7 @@ def _load_xsd(source, root: str | None) -> Grammar:
     if hasattr(source, "read"):
         return grammar_from_xsd(source.read(), root)
     text = os.fspath(source) if isinstance(source, os.PathLike) else source
-    if text.lstrip().startswith("<"):
+    if _is_markup(text):
         return grammar_from_xsd(text, root)
     with open(text, "r", encoding="utf-8") as handle:
         return grammar_from_xsd(handle.read(), root)
@@ -133,7 +134,7 @@ def _load_xml(source, root: str | None) -> Grammar:
     from repro.xmltree.parser import parse_events
 
     builder = DataguideBuilder()
-    if isinstance(source, str) and not source.lstrip().startswith("<"):
+    if isinstance(source, str) and not _is_markup(source):
         from repro.dtd.dataguide import grammar_from_file
 
         return grammar_from_file(source, root)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from repro import obs
-from repro.api import PruneOptions, PruneResult, _resolve_options, prune
+from repro.api import DEFAULT_OPTIONS, PruneOptions, PruneResult, prune
 from repro.core.cache import (
     ProjectorCache,
     grammar_fingerprint,
@@ -58,9 +58,9 @@ from repro.core.cache import (
 )
 from repro.dtd.grammar import Grammar
 from repro.extract.api import (
+    DEFAULT_EXTRACT_OPTIONS,
     ExtractOptions,
     ExtractResult,
-    _resolve_extract_options,
     extract,
 )
 from repro.extract.spec import ExtractSpec
@@ -68,6 +68,7 @@ from repro.extract.stats import ExtractStats
 from repro.limits import Limits, resolve_limits
 from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
+from repro.runplan import _is_markup, _resolve_options
 
 __all__ = [
     "BatchError",
@@ -173,10 +174,6 @@ class BatchResult:
 
 
 # -- source expansion ---------------------------------------------------------
-
-
-def _is_markup(text: str) -> bool:
-    return text.lstrip()[:1] == "<"
 
 
 def expand_sources(
@@ -410,55 +407,15 @@ def prune_many(
     not cover the grammar root, an unknown query language, a bad
     ``jobs``) still raise immediately.
     """
-    jobs = _resolve_jobs(jobs)
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
     opts = _resolve_options(
-        options, fast, validate, prune_attributes, chunk_size,
-        limits=limits,
+        options, DEFAULT_OPTIONS, fast=fast, validate=validate,
+        prune_attributes=prune_attributes, chunk_size=chunk_size, limits=limits,
     )
-    if timeout is not None and jobs == 1:
-        resolved = resolve_limits(opts.limits)
-        deadline = (
-            timeout if resolved.deadline is None else min(resolved.deadline, timeout)
-        )
-        opts = replace(opts, limits=resolved.replace(deadline=deadline))
     projector = resolve_projector(grammar, queries_or_projector, cache=cache)
-    # Validates the projector against the grammar (and pre-compiles the
-    # prune table) before any process is spawned: configuration errors
-    # surface in the parent, not N times in the pool.
-    pruner = FastPruner(grammar, projector, opts.prune_attributes)
-
-    items = expand_sources(sources)
-    out_paths: list[str | None]
-    if out_dir is not None:
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        out_paths = list(_output_paths(items, out_dir))
-    else:
-        out_paths = [None] * len(items)
-
-    batch = BatchResult(results=[None] * len(items), jobs=jobs)
-    started = time.perf_counter()
-    with obs.timed("prune.batch", jobs=jobs, documents=len(items)) as span:
-        if not items:
-            pass
-        elif jobs == 1:
-            _run_serial(batch, pruner, opts, items, out_paths)
-        else:
-            _run_pool(
-                batch, pruner, opts, items, out_paths, jobs, timeout, retry_crashes
-            )
-        span.stop()
-        span.merge_counters(batch.stats.as_counters())
-        span.count("errors", len(batch.errors))
-    batch.seconds = span.seconds if span.seconds else time.perf_counter() - started
-    batch.errors.sort(key=lambda error: error.index)
-    return batch
-
-
-#: Output-file suffix per extract format (``_output_paths`` naming).
-_EXTRACT_SUFFIXES = {"jsonl": ".jsonl", "csv": ".csv"}
+    return _run_batch(
+        sources, FastPruner(grammar, projector, opts.prune_attributes), opts,
+        None, jobs, out_dir, timeout, retry_crashes,
+    )
 
 
 def extract_many(
@@ -493,39 +450,62 @@ def extract_many(
     ``BatchResult.stats`` aggregates
     :class:`~repro.extract.stats.ExtractStats` over the successes.
     """
+    opts = _resolve_options(
+        options, DEFAULT_EXTRACT_OPTIONS, format=format, fast=fast,
+        chunk_size=chunk_size, limits=limits,
+    )
+    projector = resolve_spec_projector(grammar, spec, cache=cache)
+    return _run_batch(
+        sources, FastPruner(grammar, projector), opts,
+        spec, jobs, out_dir, timeout, retry_crashes,
+    )
+
+
+#: Output-file suffix per extract format (``_output_paths`` naming).
+_EXTRACT_SUFFIXES = {"jsonl": ".jsonl", "csv": ".csv"}
+
+
+def _run_batch(
+    sources: "str | os.PathLike[str] | Iterable[str | os.PathLike[str]]",
+    pruner: FastPruner,
+    opts: "PruneOptions | ExtractOptions",
+    spec: ExtractSpec | None,
+    jobs: int | None,
+    out_dir: "str | os.PathLike[str] | None",
+    timeout: float | None,
+    retry_crashes: bool,
+) -> BatchResult:
+    """The batch set-up both entry points share: a prune batch, or with
+    ``spec`` an extract batch.  Building ``pruner`` in the caller already
+    validated the projector against the grammar (and pre-compiled the
+    prune table) before any process is spawned: configuration errors
+    surface in the parent, not N times in the pool."""
     jobs = _resolve_jobs(jobs)
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive, got {timeout}")
-    opts = _resolve_extract_options(
-        options, format, fast, chunk_size, limits=limits
-    )
     if timeout is not None and jobs == 1:
         resolved = resolve_limits(opts.limits)
         deadline = (
             timeout if resolved.deadline is None else min(resolved.deadline, timeout)
         )
         opts = replace(opts, limits=resolved.replace(deadline=deadline))
-    projector = resolve_spec_projector(grammar, spec, cache=cache)
-    # Same parent-side validation as prune_many: a spec whose paths the
-    # grammar cannot satisfy fails here, before any process is spawned.
-    pruner = FastPruner(grammar, projector)
 
     items = expand_sources(sources)
-    out_paths: list[str | None]
+    out_paths: list[str | None] = [None] * len(items)
     if out_dir is not None:
         out_dir = os.fspath(out_dir)
         os.makedirs(out_dir, exist_ok=True)
-        out_paths = list(
-            _output_paths(items, out_dir, _EXTRACT_SUFFIXES[opts.format])
-        )
-    else:
-        out_paths = [None] * len(items)
+        suffix = None if spec is None else _EXTRACT_SUFFIXES[opts.format]
+        out_paths = list(_output_paths(items, out_dir, suffix))
 
+    op = "prune" if spec is None else "extract"
     batch = BatchResult(
-        results=[None] * len(items), stats=ExtractStats(), jobs=jobs
+        results=[None] * len(items),
+        stats=PruneStats() if spec is None else ExtractStats(),
+        jobs=jobs,
     )
     started = time.perf_counter()
-    with obs.timed("extract.batch", jobs=jobs, documents=len(items)) as span:
+    with obs.timed(f"{op}.batch", jobs=jobs, documents=len(items)) as span:
         if not items:
             pass
         elif jobs == 1:

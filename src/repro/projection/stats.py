@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 from repro.xmltree.nodes import Document, Element, Text
 
@@ -83,6 +84,28 @@ class PruneStats:
         self.distinct_tags_in |= other.distinct_tags_in
         self.distinct_tags_out |= other.distinct_tags_out
         return self
+
+    # -- wire form (ledger entries and the service protocol) ---------------
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-safe form: every field, the tag sets as sorted lists."""
+        data: dict[str, Any] = {
+            spec.name: getattr(self, spec.name) for spec in fields(self)
+        }
+        data["distinct_tags_in"] = sorted(self.distinct_tags_in)
+        data["distinct_tags_out"] = sorted(self.distinct_tags_out)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "PruneStats":
+        """Rebuild from :meth:`as_dict` output (unknown keys rejected)."""
+        unknown = set(data) - {spec.name for spec in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown prune stats field(s): {sorted(unknown)}")
+        stats = cls(**data)
+        stats.distinct_tags_in = set(stats.distinct_tags_in)
+        stats.distinct_tags_out = set(stats.distinct_tags_out)
+        return stats
 
     @property
     def complexity_reduction(self) -> float:

@@ -32,8 +32,6 @@ carrying the :class:`~repro.projection.stats.PruneStats` counters and a
 
 from __future__ import annotations
 
-import contextlib
-import os
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from repro.dtd.grammar import Grammar
@@ -180,29 +178,7 @@ class StreamingPruner:
         return event
 
 
-# -- internal pipelines (used by the repro.api.prune facade) -----------------
-
-
-@contextlib.contextmanager
-def _open_output(path: str) -> Iterator[IO[str]]:
-    """Open ``path`` for writing under the partial-output contract.
-
-    If the body fails after the open succeeded, the partially written
-    file is removed before the error propagates — a half-pruned document
-    on disk is worse than none.  If the *open itself* fails (unwritable
-    path, missing directory), nothing is removed: a pre-existing file at
-    the path was never touched and must survive.
-    """
-    sink = open(path, "w", encoding="utf-8")
-    try:
-        with sink:
-            yield sink
-    except BaseException:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        raise
+# -- internal pipelines (the prune pass of repro.runplan) -------------------
 
 
 def _prune_events(
@@ -328,35 +304,4 @@ def _prune_stream(
         except UnicodeError as exc:
             raise EncodingError(str(exc)) from exc
         span.merge_counters(stats.as_counters())
-    return stats
-
-
-def _prune_file(
-    input_path: str,
-    output_path: str,
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-    prune_attributes: bool = True,
-    chunk_size: int = 1 << 16,
-    limits: "Limits | None" = None,
-) -> PruneStats:
-    """Prune a document file into a new file, streaming.
-
-    If parsing or validation fails mid-stream the partially written output
-    file is removed before the error propagates (see :func:`_open_output`);
-    an output path that cannot even be opened leaves any pre-existing file
-    at that path untouched.
-    """
-    stats = PruneStats()
-    stats.bytes_in = os.path.getsize(input_path)
-    with open(input_path, "r", encoding="utf-8") as source:
-        with _open_output(output_path) as sink:
-            _prune_stream(
-                source, sink, grammar, projector,
-                validate=validate, fast=fast,
-                prune_attributes=prune_attributes, chunk_size=chunk_size,
-                stats=stats, limits=limits,
-            )
     return stats

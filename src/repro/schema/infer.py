@@ -106,6 +106,7 @@ def infer_grammar(
     inferred language get at prune time (see the module docstring).
     """
     from repro.parallel import expand_sources
+    from repro.runplan import _is_markup
     from repro.xmltree.parser import parse_events
 
     builder = DataguideBuilder()
@@ -120,7 +121,7 @@ def infer_grammar(
             count += 1
             continue
         for expanded in expand_sources([source]):
-            if expanded.lstrip().startswith("<"):
+            if _is_markup(expanded):
                 builder.add_events(parse_events(expanded))
             else:
                 with open(expanded, "r", encoding="utf-8") as handle:

@@ -21,16 +21,16 @@ import socket
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.api import PruneOptions, _is_markup
+from repro.api import DEFAULT_OPTIONS, PruneOptions
 from repro.errors import ProtocolError, ServiceError
-from repro.extract.api import ExtractOptions
+from repro.extract.api import DEFAULT_EXTRACT_OPTIONS, ExtractOptions
 from repro.extract.spec import ExtractSpec
 from repro.extract.stats import ExtractStats
 from repro.limits import Limits
 from repro.projection.stats import PruneStats
+from repro.runplan import _is_markup, _resolve_options
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    extract_stats_from_wire,
     raise_remote,
     recv_frame,
     send_frame,
@@ -213,21 +213,27 @@ class ServiceClient:
             fields["queries"] = [queries] if isinstance(queries, str) else list(queries)
         else:
             raise ValueError("pass queries= or projector=")
-        if options is None:
-            options = PruneOptions()
-        if limits is not None:
-            from dataclasses import replace
-
-            options = replace(options, limits=limits)
-        wire = options.to_wire()
-        if wire:
-            fields["options"] = wire
+        fields.update(ServiceClient._options_field(options, DEFAULT_OPTIONS, limits))
         return fields
 
     @staticmethod
-    def _outcome(result: dict[str, Any]) -> RemoteOutcome:
-        return RemoteOutcome(
-            stats=stats_from_wire(result.get("stats", {})),
+    def _options_field(
+        options: "PruneOptions | ExtractOptions | None",
+        default: "PruneOptions | ExtractOptions",
+        limits: "Limits | str | None",
+    ) -> dict[str, Any]:
+        """The request's ``options`` field (absent when all defaults)."""
+        wire = _resolve_options(options, default, limits=limits).to_wire()
+        return {"options": wire} if wire else {}
+
+    @staticmethod
+    def _outcome(
+        result: dict[str, Any], kind: type = RemoteOutcome,
+        from_wire: Any = stats_from_wire,
+    ) -> Any:
+        """A response's fields as a prune (or ``kind``) outcome."""
+        return kind(
+            stats=from_wire(result.get("stats", {})),
             text=result.get("text"),
             output_path=result.get("output_path"),
             seconds=float(result.get("seconds", 0.0)),
@@ -319,26 +325,13 @@ class ServiceClient:
             ),
             "source": self._source_field(source, source_path),
             "spec": spec.to_wire(),
+            **self._options_field(options, DEFAULT_EXTRACT_OPTIONS, limits),
         }
-        if options is None:
-            options = ExtractOptions()
-        if limits is not None:
-            from dataclasses import replace
-
-            options = replace(options, limits=limits)
-        wire = options.to_wire()
-        if wire:
-            fields["options"] = wire
         if out_path is not None:
             fields["out_path"] = out_path
-        result = self.request("extract", **fields)
-        return RemoteExtractOutcome(
-            stats=extract_stats_from_wire(result.get("stats", {})),
-            text=result.get("text"),
-            output_path=result.get("output_path"),
-            seconds=float(result.get("seconds", 0.0)),
-            worker=result.get("worker"),
-            ledger=result.get("ledger"),
+        return self._outcome(
+            self.request("extract", **fields), RemoteExtractOutcome,
+            ExtractStats.from_dict,
         )
 
     def check_update(

@@ -39,7 +39,6 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceUnavailable,
 )
-from repro.extract.stats import ExtractStats
 from repro.projection.stats import PruneStats
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "error_to_wire",
-    "extract_stats_from_wire",
-    "extract_stats_to_wire",
     "raise_remote",
     "read_frame",
     "recv_frame",
@@ -233,34 +230,10 @@ def raise_remote(error: dict[str, Any]) -> "None":
 
 def stats_to_wire(stats: PruneStats) -> dict[str, Any]:
     """JSON-safe form of one pass's :class:`PruneStats` counters."""
-    return {
-        "elements_in": stats.elements_in,
-        "elements_out": stats.elements_out,
-        "texts_in": stats.texts_in,
-        "texts_out": stats.texts_out,
-        "attributes_in": stats.attributes_in,
-        "attributes_out": stats.attributes_out,
-        "bytes_in": stats.bytes_in,
-        "bytes_out": stats.bytes_out,
-        "distinct_tags_in": sorted(stats.distinct_tags_in),
-        "distinct_tags_out": sorted(stats.distinct_tags_out),
-    }
+    return stats.as_dict()
 
 
 def stats_from_wire(wire: dict[str, Any]) -> PruneStats:
     """Rebuild a :class:`PruneStats` from :func:`stats_to_wire` output."""
-    data = dict(wire)
-    data["distinct_tags_in"] = set(data.get("distinct_tags_in", ()))
-    data["distinct_tags_out"] = set(data.get("distinct_tags_out", ()))
-    return PruneStats(**data)
+    return PruneStats.from_dict(wire)
 
-
-def extract_stats_to_wire(stats: ExtractStats) -> dict[str, Any]:
-    """JSON-safe form of one extract pass's :class:`ExtractStats`."""
-    return stats.as_dict()
-
-
-def extract_stats_from_wire(wire: dict[str, Any]) -> ExtractStats:
-    """Rebuild an :class:`ExtractStats` from its wire form (unknown keys
-    rejected, as everywhere on this protocol)."""
-    return ExtractStats.from_dict(wire)

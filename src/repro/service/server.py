@@ -39,7 +39,7 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro import obs
-from repro.api import PruneOptions, PruneResult
+from repro.api import _PRUNE, PruneOptions, PruneResult
 from repro.core.cache import ProjectorCache, default_cache, grammar_fingerprint
 from repro.dtd.grammar import Grammar, grammar_from_text
 from repro.errors import (
@@ -49,19 +49,25 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceUnavailable,
 )
-from repro.extract.api import ExtractOptions, ExtractResult
+from repro.extract.api import _EXTRACT, ExtractOptions, ExtractResult
 from repro.extract.spec import ExtractSpec
 from repro.limits import resolve_limits
 from repro.parallel import FINGERPRINT_MISMATCH, WORKER_CRASH, _execute
+from repro.runplan import (
+    _Kind,
+    _ledger_begin,
+    _ledger_record,
+    _ledger_serve,
+    _Run,
+    _Source,
+)
 from repro.service.config import ServiceConfig
 from repro.service.protocol import (
     LEDGER_HIT,
     LEDGER_RECORDED,
     OPS,
     error_to_wire,
-    extract_stats_to_wire,
     read_frame,
-    stats_to_wire,
 )
 from repro.service.workers import ResidentPool, WorkerFailure
 from repro.static.independence import independent
@@ -317,9 +323,9 @@ class ProjectionServer:
                 if op == "analyze":
                     result = await self._do_analyze(frame)
                 elif op == "prune":
-                    result = await self._do_prune(frame)
+                    result = await self._do_run(frame, _PRUNE, PruneOptions)
                 elif op == "extract":
-                    result = await self._do_extract(frame)
+                    result = await self._do_run(frame, _EXTRACT, ExtractOptions)
                 elif op == "check_update":
                     result = await self._do_check_update(frame)
                 else:
@@ -327,14 +333,7 @@ class ProjectionServer:
                 response: dict[str, Any] = {"id": req_id, "ok": True, "result": result}
             except WorkerFailure as exc:
                 span.set(error=exc.kind)
-                response = {
-                    "id": req_id, "ok": False,
-                    "error": {
-                        "type": exc.kind,
-                        "code": 500 if exc.kind == WORKER_CRASH else 422,
-                        "message": str(exc),
-                    },
-                }
+                response = {"id": req_id, "ok": False, "error": _failure_to_wire(exc)}
             except Exception as exc:
                 span.set(error=type(exc).__name__)
                 response = {"id": req_id, "ok": False, "error": error_to_wire(exc)}
@@ -471,26 +470,17 @@ class ProjectionServer:
             raise ProtocolError("request needs 'queries' (or a 'projector' list)")
         return self.cache.analyze(grammar, queries).projector
 
-    def _options_from(self, frame: dict[str, Any]) -> PruneOptions:
+    def _options_from(
+        self, frame: dict[str, Any], options_type: type
+    ) -> "PruneOptions | ExtractOptions":
         wire = frame.get("options", {})
         if not isinstance(wire, dict):
             raise ProtocolError("'options' must be an object")
         try:
-            options = PruneOptions.from_wire(wire)
+            options = options_type.from_wire(wire)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad options: {exc}") from None
         # Clamp to the server profile: clients tighten, never relax.
-        effective = self._limits.intersect(resolve_limits(options.limits))
-        return replace(options, limits=effective)
-
-    def _extract_options_from(self, frame: dict[str, Any]) -> ExtractOptions:
-        wire = frame.get("options", {})
-        if not isinstance(wire, dict):
-            raise ProtocolError("'options' must be an object")
-        try:
-            options = ExtractOptions.from_wire(wire)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad options: {exc}") from None
         effective = self._limits.intersect(resolve_limits(options.limits))
         return replace(options, limits=effective)
 
@@ -520,90 +510,60 @@ class ProjectionServer:
             "cache": self.cache.stats.as_dict(),
         }
 
-    async def _do_prune(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _do_run(
+        self, frame: dict[str, Any], kind: _Kind, options_type: type
+    ) -> dict[str, Any]:
+        """One ``prune`` or ``extract`` request: the run plan's ledger
+        steps around one execution on the resident pool."""
         grammar = self._grammar_from(frame)
-        projector = self._projector_from(frame, grammar)
-        options = self._options_from(frame)
+        spec = None
+        if kind is _EXTRACT:
+            spec_wire = frame.get("spec")
+            if not isinstance(spec_wire, dict):
+                raise ProtocolError("extract needs a 'spec' object")
+            try:
+                spec = ExtractSpec.from_wire(spec_wire)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"bad spec: {exc}") from None
+        options = self._options_from(frame, options_type)
+        if spec is not None:
+            # The spec's union projector resolves through the shared
+            # cache — repeated workloads hit on the spec's content
+            # fingerprint.
+            projector = self.cache.projector_for_spec(grammar, spec)
+        else:
+            projector = self._projector_from(frame, grammar)
         source = self._source_from(frame.get("source"))
         out_path = frame.get("out_path")
         if out_path is not None and not isinstance(out_path, str):
             raise ProtocolError("'out_path' must be a string path")
         started = time.perf_counter()
+        run = _Run(kind, grammar, projector, options, spec)
         led = None
         if self._ledger is not None:
-            led = await asyncio.to_thread(
-                self._ledger_begin, frame, grammar, options, source,
-                projector=projector,
+            led, served = await asyncio.to_thread(
+                self._ledger_lookup, frame, run, source, out_path
             )
-            if led is not None and not options.validate:
-                served = await asyncio.to_thread(
-                    self._ledger_serve, led[0], out_path, "prune"
+            if served is not None:
+                return _result_to_wire(
+                    served, worker=None, ledger=LEDGER_HIT,
+                    seconds=time.perf_counter() - started,
                 )
-                if served is not None:
-                    served["seconds"] = time.perf_counter() - started
-                    return served
-        key = self.pool.pin(grammar, projector, options.prune_attributes)
-        result, worker = await self._execute_pooled(key, source, out_path, options)
-        payload: dict[str, Any] = {
-            "stats": stats_to_wire(result.stats),
-            "seconds": time.perf_counter() - started,
-            "worker": worker,
-        }
-        if result.text is not None:
-            payload["text"] = result.text
-        if result.output_path is not None:
-            payload["output_path"] = result.output_path
-        if led is not None:
-            await asyncio.to_thread(self._ledger_record, led, "prune", result)
-            payload["ledger"] = LEDGER_RECORDED
-        return payload
-
-    async def _do_extract(self, frame: dict[str, Any]) -> dict[str, Any]:
-        grammar = self._grammar_from(frame)
-        spec_wire = frame.get("spec")
-        if not isinstance(spec_wire, dict):
-            raise ProtocolError("extract needs a 'spec' object")
-        try:
-            spec = ExtractSpec.from_wire(spec_wire)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad spec: {exc}") from None
-        options = self._extract_options_from(frame)
-        # The spec's union projector resolves through the shared cache —
-        # repeated workloads hit on the spec's content fingerprint.
-        projector = self.cache.projector_for_spec(grammar, spec)
-        source = self._source_from(frame.get("source"))
-        out_path = frame.get("out_path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ProtocolError("'out_path' must be a string path")
-        started = time.perf_counter()
-        led = None
-        if self._ledger is not None:
-            led = await asyncio.to_thread(
-                self._ledger_begin, frame, grammar, options, source, spec=spec
-            )
-            if led is not None:
-                served = await asyncio.to_thread(
-                    self._ledger_serve, led[0], out_path, "extract"
-                )
-                if served is not None:
-                    served["seconds"] = time.perf_counter() - started
-                    return served
-        key = self.pool.pin(grammar, projector)
-        result, worker = await self._execute_pooled(
-            key, source, out_path, options, spec=spec
+        key = self.pool.pin(
+            grammar, projector, getattr(options, "prune_attributes", True)
         )
-        assert isinstance(result, ExtractResult)
-        payload: dict[str, Any] = {
-            "stats": extract_stats_to_wire(result.stats),
-            "seconds": time.perf_counter() - started,
-            "worker": worker,
-        }
-        if result.text is not None:
-            payload["text"] = result.text
-        if result.output_path is not None:
-            payload["output_path"] = result.output_path
+        result, worker = await self._execute_pooled(
+            key, source, out_path, options, spec
+        )
+        payload = _result_to_wire(
+            result, seconds=time.perf_counter() - started, worker=worker
+        )
         if led is not None:
-            await asyncio.to_thread(self._ledger_record, led, "extract", result)
+            await asyncio.to_thread(
+                _ledger_record, self._ledger, led, kind.op, result.stats,
+                text=result.text, output_path=result.output_path,
+                records=getattr(result, "records", None),
+            )
             payload["ledger"] = LEDGER_RECORDED
         return payload
 
@@ -650,7 +610,7 @@ class ProjectionServer:
 
         grammar = self._grammar_from(frame)
         projector = self._projector_from(frame, grammar)
-        options = self._options_from(frame)
+        options = self._options_from(frame, PruneOptions)
         sources_wire = frame.get("sources")
         if not isinstance(sources_wire, list):
             raise ProtocolError("prune_batch needs a 'sources' list")
@@ -673,24 +633,10 @@ class ProjectionServer:
                     key, source, out_path, options
                 )
             except WorkerFailure as exc:
-                return {
-                    "ok": False,
-                    "error": {
-                        "type": exc.kind,
-                        "code": 500 if exc.kind == WORKER_CRASH else 422,
-                        "message": str(exc),
-                    },
-                }
+                return {"ok": False, "error": _failure_to_wire(exc)}
             except Exception as exc:
                 return {"ok": False, "error": error_to_wire(exc)}
-            item: dict[str, Any] = {
-                "ok": True, "stats": stats_to_wire(result.stats), "worker": worker,
-            }
-            if result.text is not None:
-                item["text"] = result.text
-            if result.output_path is not None:
-                item["output_path"] = result.output_path
-            return item
+            return _result_to_wire(result, ok=True, worker=worker)
 
         items = await asyncio.gather(
             *(one(source, out) for source, out in zip(sources, out_paths))
@@ -698,37 +644,30 @@ class ProjectionServer:
         merged = PruneStats()
         for item in items:
             if item["ok"]:
-                from repro.service.protocol import stats_from_wire
-
-                merged.merge(stats_from_wire(item["stats"]))
+                merged.merge(PruneStats.from_dict(item["stats"]))
         return {
             "items": list(items),
-            "stats": stats_to_wire(merged),
+            "stats": merged.as_dict(),
             "succeeded": sum(1 for item in items if item["ok"]),
             "seconds": time.perf_counter() - started,
         }
 
     # -- ledger plumbing -------------------------------------------------
 
-    def _ledger_begin(
+    def _ledger_lookup(
         self,
         frame: dict[str, Any],
-        grammar: Grammar,
-        options: "PruneOptions | ExtractOptions",
+        run: _Run,
         source: str,
-        projector: "frozenset[str] | None" = None,
-        spec: ExtractSpec | None = None,
-    ) -> "tuple[tuple[str, str, str, str], dict[str, Any]] | None":
-        """Fingerprint one admitted request for the attestation ledger
-        (blocking: hashes the source — call via ``asyncio.to_thread``).
+        out_path: str | None,
+    ) -> "tuple[Any, PruneResult | ExtractResult | None]":
+        """Ledger begin and dedup serve for one admitted request
+        (blocking: hashes the source and may write ``out_path`` — call via
+        ``asyncio.to_thread``); returns ``(led, served result or None)``.
         Provenance keeps the request's own grammar object (inline DTD
         text or the XMark marker), so ``verify-ledger`` can replay
         server-recorded entries with no out-of-band grammar."""
-        from repro.api import _ledger_begin
-        from repro.ledger.canonical import hash_canonical
-
-        is_path = not source.lstrip().startswith("<")
-        workload_fp = None
+        assert self._ledger is not None
         prov: dict[str, Any] = {}
         gspec = frame.get("grammar")
         if isinstance(gspec, dict):
@@ -744,81 +683,18 @@ class ProjectionServer:
                 prov["grammar"] = {
                     "dtd": gspec["dtd"], "root": gspec.get("root"),
                 }
-        if spec is not None:
-            assert isinstance(options, ExtractOptions)
-            workload_fp = hash_canonical(
-                {"format": options.format, "spec": spec.fingerprint()}
-            )
-            prov["spec"] = spec.to_wire()
-            prov["format"] = options.format
         try:
-            return _ledger_begin(
-                self._ledger, source, grammar, options,
-                resolve_limits(options.limits), prov, is_path, projector,
-                workload_fp=workload_fp,
+            led = _ledger_begin(
+                self._ledger, run, _Source.of(source, run.kind.op), prov
             )
         except OSError:
             # An unreadable path source fails identically in the worker,
             # with the structured error the client expects — let that
             # path produce it rather than dying here.
-            return None
-
-    def _ledger_serve(
-        self,
-        key: "tuple[str, str, str, str]",
-        out_path: str | None,
-        op: str,
-    ) -> dict[str, Any] | None:
-        """Serve a recorded result without touching the pool (blocking:
-        verifies the stored bytes and may write ``out_path``)."""
-        assert self._ledger is not None
-        hit = self._ledger.fetch(key)
-        if hit is None:
-            return None
-        entry, stored = hit
-        from repro.ledger.ledger import decode_stats
-
-        stats = decode_stats(entry.stats)
-        text = stored["text"]
-        payload: dict[str, Any] = {
-            "stats": (
-                stats_to_wire(stats) if op == "prune"
-                else extract_stats_to_wire(stats)
-            ),
-            "worker": None,
-            "ledger": LEDGER_HIT,
-        }
-        if out_path is not None:
-            from repro.projection.streaming import _open_output
-
-            with _open_output(out_path) as sink:
-                sink.write(text)
-            payload["output_path"] = out_path
-        else:
-            payload["text"] = text
-        return payload
-
-    def _ledger_record(
-        self,
-        led: "tuple[tuple[str, str, str, str], dict[str, Any]]",
-        op: str,
-        result: "PruneResult | ExtractResult",
-    ) -> None:
-        """Append the attestation for a completed pooled run (blocking:
-        hashes the output and fsyncs the ledger)."""
-        from repro.api import _ledger_record
-
-        assert self._ledger is not None
-        if result.text is not None:
-            _ledger_record(
-                self._ledger, led, op, result.stats, text=result.text,
-                records=getattr(result, "records", None),
-            )
-        elif result.output_path is not None:
-            _ledger_record(
-                self._ledger, led, op, result.stats,
-                output_path=result.output_path,
-            )
+            return None, None
+        return led, _ledger_serve(
+            self._ledger, run, led[0], out_path, need_records=False
+        )
 
     # -- pool plumbing ---------------------------------------------------
 
@@ -891,6 +767,26 @@ class ProjectionServer:
         async with self._respawn_lock:
             if await asyncio.to_thread(self.pool.respawn, generation):
                 obs.count("service.respawns")
+
+
+def _result_to_wire(
+    result: "PruneResult | ExtractResult", **fields: Any
+) -> dict[str, Any]:
+    """A run's response fields: its stats, plus its text or output path."""
+    payload: dict[str, Any] = {"stats": result.stats.as_dict(), **fields}
+    if result.text is not None:
+        payload["text"] = result.text
+    if result.output_path is not None:
+        payload["output_path"] = result.output_path
+    return payload
+
+
+def _failure_to_wire(exc: WorkerFailure) -> dict[str, Any]:
+    return {
+        "type": exc.kind,
+        "code": 500 if exc.kind == WORKER_CRASH else 422,
+        "message": str(exc),
+    }
 
 
 # -- in-process serving (tests, notebooks, docs) -----------------------------

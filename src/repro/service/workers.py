@@ -41,7 +41,7 @@ from repro.extract.api import ExtractOptions, ExtractResult
 from repro.extract.spec import ExtractSpec
 from repro.parallel import (
     FINGERPRINT_MISMATCH,
-    WORKER_CRASH,
+    _drain_worker_obs,
     _execute_extract_item,
     _execute_item,
     _kill_processes,
@@ -105,20 +105,6 @@ def _init_resident_worker(payloads: list[tuple[PinKey, bytes]], tracing: bool) -
     _RESIDENT_STATE = {"pruners": pruners, "sink": sink}
 
 
-def _drain_resident_obs(
-    state: dict[str, Any],
-) -> tuple[list[dict[str, Any]], dict[str, int | float]]:
-    sink: obs.MemorySink | None = state["sink"]
-    if sink is None:
-        return [], {}
-    tracer = obs.get_tracer()
-    records = list(sink.records)
-    sink.records.clear()
-    counters = tracer.counters
-    tracer._counters.clear()
-    return records, counters
-
-
 def _resident_item(
     key: PinKey,
     payload: bytes,
@@ -159,7 +145,7 @@ def _resident_item(
                 result.events = None  # iterators never cross the process boundary
         except Exception as exc:
             error = (type(exc).__name__, str(exc))
-    records, counters = _drain_resident_obs(state)
+    records, counters = _drain_worker_obs(state)
     return error, result, records, counters, os.getpid()
 
 

@@ -1,16 +1,25 @@
 """The unified prune() facade (repro.api): source/out dispatch,
-PruneOptions, parity with the old per-source entry points."""
+PruneOptions, and the run plan it shares with extract() — every source
+form, ``out`` form and run (fresh, ledger hit, static short-circuit)
+agreeing byte for byte."""
 
+import contextlib
 import io
+import itertools
 import os
 import pathlib
+from functools import partial
 
 import pytest
 
-from repro import PruneOptions, PruneResult, prune
+import repro
+from repro.extract import api as extract_api
+from repro import ExtractSpec, PruneOptions, PruneResult, extract, prune
+from repro import api
 from repro.api import DEFAULT_OPTIONS
 from repro.dtd.grammar import text_name
-from repro.errors import ReproError
+from repro.errors import ReproError, XMLSyntaxError
+from repro.ledger import Ledger
 from repro.xmltree.builder import build_tree
 from repro.xmltree.parser import parse_events
 from tests.conftest import BOOK_XML
@@ -81,21 +90,111 @@ class TestSourceDispatch:
             iter(result)
 
 
+KINDS = ("prune", "extract")
+SOURCES = ("markup", "path", "pathlike", "stream")
+OUTS = ("none", "path", "stream")
+RUNS = ("fresh", "ledger_hit", "short_circuit")
+MATRIX = list(itertools.product(KINDS, SOURCES, OUTS, RUNS))
+BROKEN_XML = "<bib><book><title>x</author></book></bib>"
+
+
+def _workload(grammar, kind, empty):
+    """``(call, workload)``: the facade under test and what it runs —
+    for ``empty``, a workload the static pre-pass proves selects nothing
+    (``/bib/title``: titles only occur under ``book``)."""
+    if kind == "prune":
+        if empty:
+            return prune, repro.analyze(grammar, ["/bib/title"])
+        return prune, grammar.projector_closure(["title", text_name("title")])
+    spec = ExtractSpec(
+        rows="/bib/title" if empty else "/bib/book",
+        fields={"title": "title/text()", "isbn": "@isbn"},
+    )
+    return partial(extract, format="csv"), spec
+
+
+def _source(form, tmp_path, text=BOOK_XML, name="in.xml"):
+    if form == "markup":
+        return text
+    if form == "stream":
+        return io.StringIO(text)
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path) if form == "path" else path
+
+
+def _forbid_pass(monkeypatch):
+    """Make any pruning or extraction pass fail the test: ledger hits
+    and short-circuits must answer without scanning the document."""
+    def scanned(*args, **kwargs):
+        raise AssertionError("the document was scanned")
+
+    monkeypatch.setattr(api, "_prune_stream", scanned)
+    monkeypatch.setattr(extract_api, "_extract_stream", scanned)
+
+
 class TestAllFormsAgree:
-    def test_same_output_every_way(self, book_grammar, projector, tmp_path):
-        source = tmp_path / "in.xml"
-        source.write_text(BOOK_XML)
-        out_file = tmp_path / "out.xml"
+    @pytest.mark.parametrize(
+        "kind,source_form,out_form,run", MATRIX, ids=["-".join(c) for c in MATRIX]
+    )
+    def test_same_output_every_way(
+        self, book_grammar, tmp_path, monkeypatch, kind, source_form, out_form, run
+    ):
+        """One run plan for every cell: within a kind and a run, every
+        source form and every ``out`` form yield the same bytes."""
+        call, workload = _workload(book_grammar, kind, empty=run == "short_circuit")
+        expected = call(BOOK_XML, book_grammar, workload).text
+        hashable = source_form != "stream"  # streams bypass the ledger
+        with contextlib.ExitStack() as stack:
+            ledger = None
+            if run == "ledger_hit":
+                ledger = stack.enter_context(Ledger(str(tmp_path / "ledger.jsonl")))
+                if hashable:
+                    recorded = call(
+                        _source(source_form, tmp_path), book_grammar, workload,
+                        ledger=ledger,
+                    )
+            if run == "short_circuit" or (ledger is not None and hashable):
+                _forbid_pass(monkeypatch)
 
-        from_markup = prune(BOOK_XML, book_grammar, projector).text
-        from_stream = prune(io.StringIO(BOOK_XML), book_grammar, projector).text
-        prune(str(source), book_grammar, projector, out=str(out_file))
-        from_file = out_file.read_text()
-        sink = io.StringIO()
-        prune(str(source), book_grammar, projector, out=sink)
-        from_mixed = sink.getvalue()
+            out_path = tmp_path / "out.data"
+            out = {"none": None, "path": str(out_path), "stream": io.StringIO()}[out_form]
+            result = call(
+                _source(source_form, tmp_path), book_grammar, workload,
+                out=out, ledger=ledger,
+            )
+            got = {
+                "none": lambda: result.text,
+                "path": lambda: out_path.read_text(),
+                "stream": lambda: out.getvalue(),
+            }[out_form]()
+            assert got == expected
+            assert result.output_path == (str(out_path) if out_form == "path" else None)
+            if ledger is not None:
+                assert ledger.hits == (1 if hashable else 0)
+                if hashable:
+                    assert result.stats == recorded.stats
 
-        assert from_markup == from_stream == from_file == from_mixed
+            if out_form != "path":
+                return
+            # A path that was never opened keeps the file already there:
+            # a missing input fails before the output is touched.
+            if source_form in ("path", "pathlike"):
+                out_path.write_text("precious")
+                missing = tmp_path / "missing.xml"
+                with pytest.raises(FileNotFoundError):
+                    call(
+                        missing if source_form == "pathlike" else str(missing),
+                        book_grammar, workload, out=str(out_path), ledger=ledger,
+                    )
+                assert out_path.read_text() == "precious"
+            # A run that fails after opening the output leaves no file.
+            if run == "fresh":
+                out_path.unlink(missing_ok=True)
+                broken = _source(source_form, tmp_path, BROKEN_XML, "broken.xml")
+                with pytest.raises(XMLSyntaxError):
+                    call(broken, book_grammar, workload, out=str(out_path))
+                assert not out_path.exists()
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_fast_flag_is_byte_identical(self, book_grammar, projector, fast):

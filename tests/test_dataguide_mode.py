@@ -30,7 +30,7 @@ import repro
 from repro import InferredGrammar, StrayDocumentError, infer_grammar
 from repro.core.cache import grammar_fingerprint, resolve_projector
 from repro.dtd.dataguide import DataguideBuilder
-from repro.errors import ReproError
+from repro.errors import ReproError, XMLSyntaxError
 from repro.extract.spec import ExtractSpec
 from repro.loading import load_grammar
 from repro.xmltree.parser import parse_events
@@ -257,6 +257,45 @@ class TestCopyPolicy:
         projector = resolve_projector(lax, ["//title"])
         with pytest.raises(ReproError, match="replay"):
             repro.prune(parse_events(STRAY_ELEMENT), lax, projector)
+
+
+class TestStreamTextIsNeverAPath:
+    """An open stream is classified once, as a stream; buffered for the
+    escape hatch it is markup from then on.  Its text is never sniffed
+    again as a file path — a stream whose text names a real, prunable
+    file fails to parse exactly as under a plain DTD grammar, and that
+    file's content never comes back."""
+
+    @pytest.fixture()
+    def path_text(self, tmp_path):
+        other = tmp_path / "other.xml"
+        other.write_text(SAMPLE[0])
+        return str(other)
+
+    @pytest.fixture()
+    def plain_error(self, path_text):
+        from repro.dtd.grammar import grammar_from_text
+
+        grammar = grammar_from_text(BOOK_DTD, "bib")
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            repro.prune(io.StringIO(path_text), grammar, frozenset({"bib"}))
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("policy", ["copy", "error"])
+    def test_prune(self, path_text, plain_error, policy):
+        grammar = infer_grammar(SAMPLE, on_stray=policy)
+        projector = resolve_projector(grammar, ["//title"])
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            repro.prune(io.StringIO(path_text), grammar, projector)
+        assert str(excinfo.value) == plain_error
+
+    @pytest.mark.parametrize("policy", ["copy", "error"])
+    def test_extract(self, path_text, plain_error, policy):
+        grammar = infer_grammar(SAMPLE, on_stray=policy)
+        spec = ExtractSpec(rows="/bib/book", fields={"title": "title/text()"})
+        with pytest.raises(XMLSyntaxError) as excinfo:
+            repro.extract(io.StringIO(path_text), grammar, spec)
+        assert str(excinfo.value) == plain_error
 
 
 # -- batch, ledger, CLI and service wiring ------------------------------------

@@ -190,6 +190,31 @@ class TestStatsRoundTrip:
         canonical_json(wire)  # JSON-safe by construction
         assert decode_stats(json.loads(json.dumps(wire))) == stats
 
+    def test_prune_stats_encoding_is_pinned(self):
+        """Ledger entries hash their stats, so the encoding must stay byte
+        for byte what earlier ledgers recorded (or their ``verify-ledger``
+        replays would diverge)."""
+        stats = PruneStats(
+            elements_in=7, elements_out=3, texts_in=5, texts_out=2,
+            attributes_in=4, attributes_out=1, bytes_in=120, bytes_out=40,
+            distinct_tags_in={"title", "bib", "book"},
+            distinct_tags_out={"bib", "title"},
+        )
+        assert encode_stats(stats) == {
+            "kind": "prune",
+            "elements_in": 7, "elements_out": 3, "texts_in": 5, "texts_out": 2,
+            "attributes_in": 4, "attributes_out": 1,
+            "bytes_in": 120, "bytes_out": 40,
+            "distinct_tags_in": ["bib", "book", "title"],
+            "distinct_tags_out": ["bib", "title"],
+        }
+        assert canonical_json(encode_stats(stats)) == (
+            '{"attributes_in":4,"attributes_out":1,"bytes_in":120,"bytes_out":40,'
+            '"distinct_tags_in":["bib","book","title"],'
+            '"distinct_tags_out":["bib","title"],"elements_in":7,'
+            '"elements_out":3,"kind":"prune","texts_in":5,"texts_out":2}'
+        )
+
     def test_extract_stats(self):
         stats = ExtractStats(rows_out=7, fields_out=14, nulls_out=2,
                              bytes_in=100, bytes_out=50)
