@@ -10,10 +10,14 @@ fast path fuses all three stages onto the scanner:
   ``>`` (quote-aware, so ``>`` inside attribute values is handled) and a
   compiled regex splits name and attributes at C speed — no
   char-by-char name scanning and no event objects;
-* pruned subtrees are **bulk-skipped**: only a tag stack is maintained
-  for well-formedness (tag nesting, attribute syntax, entity references,
-  comment/CDATA termination are still checked) — no attribute dicts and
-  no text strings are materialised;
+* pruned subtrees are **bulk-skipped** by one compiled token regex
+  matched straight on the scanner buffer — each match is a text run
+  plus the whole tag after it — with the per-token scanner calls kept
+  only for entity references, comments, CDATA, PIs, tokens cut by the
+  buffer end, tags longer than ``max_token_bytes`` and errors.  Only a
+  tag stack is maintained for well-formedness (tag nesting, attribute
+  syntax, entity references, comment/CDATA termination are still
+  checked) — no attribute dicts and no text strings are materialised;
 * kept content is serialized straight back out with buffered writes;
 * all keep/skip/filter decisions come from the same compiled
   :class:`~repro.projection.prunetable.PruneTable` as the event pruner,
@@ -57,15 +61,28 @@ from repro.xmltree.serializer import WRITE_BUFFER_SIZE, escape_attribute, escape
 # as a regex, so a whole tag read in bulk can be split in one match
 # instead of per-character ``read_name`` calls.
 _NAME = r"(?:[A-Za-z_:]|[^\x00-\x7f])(?:[A-Za-z0-9_.:\-]|[^\x00-\x7f])*"
-_START_TAG_RE = re.compile(
-    r"(" + _NAME + r")"
-    r"((?:\s+" + _NAME + r"\s*=\s*(?:\"[^\"]*\"|'[^']*'))*)"
-    r"\s*\Z"
+# XML whitespace, as the event parser skips it.  Not ``\s``: that also
+# matches non-ASCII spaces, which are name characters here, and the
+# overlap would both split names the event parser keeps whole and let a
+# failing match backtrack exponentially in the number of attributes.
+_S = r"[ \t\r\n]"
+_ATTRS = r"(?:" + _S + r"+" + _NAME + _S + r"*=" + _S + r"*(?:\"[^\"]*\"|'[^']*'))*"
+_START_TAG_RE = re.compile(r"(" + _NAME + r")(" + _ATTRS + r")" + _S + r"*\Z")
+_ATTR_RE = re.compile(
+    _S + r"+(" + _NAME + r")" + _S + r"*=" + _S + r"*(?:\"([^\"]*)\"|'([^']*)')"
 )
-_ATTR_RE = re.compile(r"\s+(" + _NAME + r")\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
-_END_TAG_RE = re.compile(r"(" + _NAME + r")\s*\Z")
-# Closing tag with its leading '/', for the skip loop's zero-advance path.
-_CLOSE_TAG_RE = re.compile(r"/(" + _NAME + r")\s*\Z")
+_END_TAG_RE = re.compile(r"(" + _NAME + r")" + _S + r"*\Z")
+# Closing tag with its leading '/', for the skip loop's per-token path.
+_CLOSE_TAG_RE = re.compile(r"/(" + _NAME + r")" + _S + r"*\Z")
+# One token of a dropped subtree, matched straight on the scanner buffer:
+# a text run without references, then a complete end tag (group 1) or
+# start tag (name, attributes, ``/`` if empty).  Built from the fragments
+# above, so it accepts exactly the tags the per-token path accepts, with
+# the same groups.
+_SKIP_TOKEN_RE = re.compile(
+    r"[^<&]*<(?:/(" + _NAME + r")" + _S + r"*>|(" + _NAME + r")(" + _ATTRS + r")"
+    + _S + r"*(/?)>)"
+)
 
 
 def _read_text_run(scanner: Scanner) -> str:
@@ -628,14 +645,66 @@ class FastPruner:
         well-formedness and the stats counters the event path would have
         gathered.  ``base_depth`` is the kept-element nesting above this
         subtree, so the depth limit sees the document's true depth even
-        inside discarded regions."""
+        inside discarded regions.
+
+        Each step first matches :data:`_SKIP_TOKEN_RE` on the scanner
+        buffer, taking a text run and the tag after it in one C-level
+        match.  The per-token path below takes what the regex cannot: an
+        entity reference, a comment, CDATA or PI, a token cut by the
+        buffer end, a tag longer than ``max_token_bytes`` (so the token
+        rule charges it), and every error — a mismatched end tag is left
+        unconsumed for it to report."""
         guard = self.guard
         open_tags = [first_tag]
+        tick = limit = None
         if guard is not None:
             guard.check_depth(base_depth + 1)
+            if guard.deadline_at is not None:
+                tick = guard.tick
+            limit = guard.max_token
+        token = _SKIP_TOKEN_RE.match
+        # No refill happens between regex matches, so the buffer and the
+        # position live in locals until the per-token path needs them.
+        buffer = scanner._buffer
+        position = scanner._position
         while open_tags:
-            if guard is not None:
-                guard.tick()
+            if tick is not None:
+                tick()
+            match = token(buffer, position)
+            if match is not None:
+                closing, tag, attrs_text, slash = match.groups()
+                end = match.end()
+                if (
+                    limit is not None
+                    and end - position > limit
+                    and end - match.start(2 if closing is None else 1) + 2 > limit
+                ):
+                    pass  # a tag the token rule may charge: per-token path
+                elif closing is not None:
+                    if closing == open_tags[-1]:
+                        if stats is not None and buffer[position] != "<":
+                            stats.texts_in += 1
+                        position = end
+                        open_tags.pop()
+                        continue
+                else:
+                    if stats is not None and buffer[position] != "<":
+                        stats.texts_in += 1
+                    position = end
+                    count = 0
+                    if attrs_text:
+                        scanner._position = end  # where an attribute error points
+                        count = self._validate_skipped_attributes(scanner, tag, attrs_text)
+                    if stats is not None:
+                        stats.elements_in += 1
+                        stats.attributes_in += count
+                        stats.distinct_tags_in.add(tag)
+                    if not slash:
+                        open_tags.append(tag)
+                        if guard is not None:
+                            guard.check_depth(base_depth + len(open_tags))
+                    continue
+            scanner._position = position
             saw, opened, char = scanner.skip_text_open()
             while not opened:
                 if char == "":
@@ -699,3 +768,6 @@ class FastPruner:
                     open_tags.append(tag)
                     if guard is not None:
                         guard.check_depth(base_depth + len(open_tags))
+            buffer = scanner._buffer
+            position = scanner._position
+        scanner._position = position

@@ -66,7 +66,12 @@ class _StringSource:
 
 
 class Scanner:
-    """Incremental look-ahead scanner with line/column tracking.
+    """Incremental look-ahead scanner with on-demand line/column.
+
+    Positions cost nothing while scanning: a refill counts the newlines
+    of the prefix it drops (one ``count``/``rfind`` per refill), and
+    :attr:`line`/:attr:`column` add those of the buffer up to the
+    current position only when asked — that is, when an error is raised.
 
     The public protocol used by the parser:
 
@@ -77,7 +82,10 @@ class Scanner:
     * :meth:`read_name`, :meth:`skip_whitespace` — token helpers.
     """
 
-    __slots__ = ("_source", "_buffer", "_position", "_eof", "_chunk_size", "_line", "_line_start_offset", "_consumed", "_guard")
+    __slots__ = (
+        "_source", "_buffer", "_position", "_eof", "_chunk_size",
+        "_dropped_lines", "_line_start_offset", "_consumed", "_guard",
+    )
 
     def __init__(
         self,
@@ -97,11 +105,12 @@ class Scanner:
         self._eof = False
         self._position = 0
         self._chunk_size = chunk_size
-        self._line = 1
-        # Offset (in total consumed characters) where the current line began;
-        # used to derive a column number for error messages.
-        self._line_start_offset = 0
         self._consumed = 0  # characters dropped from the buffer on refill
+        self._dropped_lines = 0  # newlines among them
+        # Offset (in consumed characters) just past the last dropped
+        # newline: the column base while the buffer holds no newline
+        # before the current position.
+        self._line_start_offset = 0
 
     @property
     def guard(self) -> "LimitGuard | None":
@@ -113,10 +122,13 @@ class Scanner:
 
     @property
     def line(self) -> int:
-        return self._line
+        return self._dropped_lines + self._buffer.count("\n", 0, self._position) + 1
 
     @property
     def column(self) -> int:
+        last = self._buffer.rfind("\n", 0, self._position)
+        if last != -1:
+            return self._position - last
         return self._consumed + self._position - self._line_start_offset + 1
 
     @property
@@ -128,7 +140,7 @@ class Scanner:
         return self._consumed + self._position
 
     def error(self, message: str) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self._line, self.column)
+        return XMLSyntaxError(message, self.line, self.column)
 
     # -- buffer management ----------------------------------------------
 
@@ -139,11 +151,18 @@ class Scanner:
         tail plus the chunks just read."""
         if self._eof or len(self._buffer) - self._position >= needed:
             return
-        if self._position:
+        position = self._position
+        if position:
             # Diagnostics only depend on ``consumed + position``, which
-            # is preserved.
-            self._consumed += self._position
-            self._buffer = self._buffer[self._position :]
+            # is preserved: the dropped prefix's newlines move into
+            # ``_dropped_lines`` and ``_line_start_offset``.
+            buffer = self._buffer
+            newlines = buffer.count("\n", 0, position)
+            if newlines:
+                self._dropped_lines += newlines
+                self._line_start_offset = self._consumed + buffer.rfind("\n", 0, position) + 1
+            self._consumed += position
+            self._buffer = buffer[position:]
             self._position = 0
         while len(self._buffer) < needed:
             chunk = self._source.read(self._chunk_size)
@@ -156,14 +175,6 @@ class Scanner:
                 # to stop).
                 self._guard.add_input(len(chunk))
             self._buffer += chunk
-
-    def _count_newlines(self, text: str) -> None:
-        newlines = text.count("\n")
-        if newlines:
-            self._line += newlines
-            # Column restarts after the last newline in the consumed text.
-            last = text.rfind("\n")
-            self._line_start_offset = self._consumed + self._position + last + 1
 
     # -- single character protocol ----------------------------------------
 
@@ -192,9 +203,6 @@ class Scanner:
             return ""
         char = self._buffer[self._position]
         self._position += 1
-        if char == "\n":
-            self._line += 1
-            self._line_start_offset = self._consumed + self._position
         return char
 
     # -- multi character protocol ------------------------------------------
@@ -206,7 +214,6 @@ class Scanner:
     def try_consume(self, prefix: str) -> bool:
         """Consume ``prefix`` if present, returning whether it was."""
         if self.startswith(prefix):
-            self._count_newlines(prefix)
             self._position += len(prefix)
             return True
         return False
@@ -229,7 +236,6 @@ class Scanner:
                 text = self._buffer[self._position : index]
                 if guard is not None:
                     guard.check_token(total + len(text))
-                self._count_newlines(text + delimiter)
                 self._position = index + len(delimiter)
                 pieces.append(text)
                 return "".join(pieces)
@@ -241,7 +247,6 @@ class Scanner:
             cut = max(self._position, len(self._buffer) - keep)
             text = self._buffer[self._position : cut]
             if text:
-                self._count_newlines(text)
                 pieces.append(text)
                 self._position = cut
                 if guard is not None:
@@ -271,13 +276,11 @@ class Scanner:
                 text = self._buffer[self._position : best]
                 if guard is not None:
                     guard.check_token(total + len(text))
-                self._count_newlines(text)
                 self._position = best
                 pieces.append(text)
                 return "".join(pieces)
             text = self._buffer[self._position :]
             if text:
-                self._count_newlines(text)
                 pieces.append(text)
                 self._position = len(self._buffer)
                 if guard is not None:
@@ -293,7 +296,6 @@ class Scanner:
         while True:
             index = self._buffer.find(delimiter, self._position)
             if index != -1:
-                self._count_newlines(self._buffer[self._position : index] + delimiter)
                 self._position = index + len(delimiter)
                 return
             if self._eof:
@@ -301,11 +303,7 @@ class Scanner:
                 raise self.error(f"unexpected end of input looking for {delimiter!r}{where}")
             # Keep a delimiter-sized tail in case it straddles a chunk edge.
             keep = len(delimiter) - 1
-            cut = max(self._position, len(self._buffer) - keep)
-            text = self._buffer[self._position : cut]
-            if text:
-                self._count_newlines(text)
-                self._position = cut
+            self._position = max(self._position, len(self._buffer) - keep)
             self._fill(len(self._buffer) - self._position + self._chunk_size)
 
     def skip_until_any(self, delimiters: str) -> bool:
@@ -321,12 +319,10 @@ class Scanner:
                     best = index
             if best != -1:
                 if best > self._position:
-                    self._count_newlines(self._buffer[self._position : best])
                     self._position = best
                     skipped = True
                 return skipped
             if len(self._buffer) > self._position:
-                self._count_newlines(self._buffer[self._position :])
                 self._position = len(self._buffer)
                 skipped = True
             if self._eof:
@@ -348,13 +344,11 @@ class Scanner:
             amp = buffer.find("&", position)
             if amp != -1 and (lt == -1 or amp < lt):
                 if amp > position:
-                    self._count_newlines(buffer[position:amp])
                     self._position = amp
                     skipped = True
                 return skipped, False, "&"
             if lt != -1:
                 if lt > position:
-                    self._count_newlines(buffer[position:lt])
                     skipped = True
                 self._position = lt + 1
                 self._fill(1)
@@ -363,7 +357,6 @@ class Scanner:
                     return skipped, True, buffer[self._position]
                 return skipped, True, ""
             if len(buffer) > position:
-                self._count_newlines(buffer[position:])
                 self._position = len(buffer)
                 skipped = True
             if self._eof:
@@ -403,10 +396,8 @@ class Scanner:
                     run += index - position
                     if limit is not None and run > limit:
                         guard.check_token(run)
-                    text = buffer[position : index + 1]
-                    self._count_newlines(text)
                     self._position = index + 1
-                    pieces.append(text)
+                    pieces.append(buffer[position : index + 1])
                     quote = ""
                     run = carry = kept = 0
                     start = len(pieces)
@@ -428,22 +419,17 @@ class Scanner:
                     if limit is not None and run > limit:
                         self._charge_names("".join(pieces[start:]) + buffer[position:stop], carry)
                     if stop == gt:
-                        text = buffer[position:gt]
-                        self._count_newlines(text)
                         self._position = gt + 1
-                        pieces.append(text)
+                        pieces.append(buffer[position:gt])
                         return "".join(pieces)
-                    text = buffer[position : stop + 1]
-                    self._count_newlines(text)
                     self._position = stop + 1
-                    pieces.append(text)
+                    pieces.append(buffer[position : stop + 1])
                     quote = buffer[stop]
                     run = carry = kept = 0
                     start = len(pieces)
                     continue
             text = buffer[position:]
             if text:
-                self._count_newlines(text)
                 pieces.append(text)
                 self._position = len(buffer)
                 run += len(text)
@@ -490,15 +476,6 @@ class Scanner:
         pieces[start:] = [text] if text else []
         return carry, kept
 
-    def read_while(self, predicate) -> str:
-        """Consume the longest prefix whose characters satisfy ``predicate``."""
-        pieces: list[str] = []
-        while True:
-            char = self.peek()
-            if not char or not predicate(char):
-                return "".join(pieces)
-            pieces.append(self.advance())
-
     # -- XML token helpers ---------------------------------------------------
 
     def skip_whitespace(self) -> None:
@@ -507,12 +484,9 @@ class Scanner:
             buffer = self._buffer
             position = self._position
             end = len(buffer)
-            start = position
             while position < end and buffer[position] in " \t\r\n":
                 position += 1
-            if position > start:
-                self._count_newlines(buffer[start:position])
-                self._position = position
+            self._position = position
             if position < end or self._eof:
                 return
 
@@ -545,5 +519,5 @@ class Scanner:
         if self._guard is not None:
             self._guard.check_token(end - position)
         name = buffer[position:end]
-        self._position = end  # names contain no newlines
+        self._position = end
         return name

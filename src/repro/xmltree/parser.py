@@ -266,6 +266,10 @@ class EventParser:
             if name in attributes:
                 raise scanner.error(f"duplicate attribute {name!r} on <{tag}>")
             attributes[name] = value
+            char = scanner.peek()
+            if char not in " \t\r\n>/":  # '' (end of input) fails below
+                # XML requires whitespace before each attribute.
+                raise scanner.error(f"expected whitespace after attribute {name}, found {char!r}")
 
     # -- character data -------------------------------------------------------
 

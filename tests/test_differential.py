@@ -359,23 +359,43 @@ def _run_ledger_axis(seeds, tmp_path):
     records and stats to the fresh run, and a full replay re-attests
     every entry (Thm 4.5 byte-identity, promoted to a runtime contract).
     Returns what the corruption test needs to poke at the recorded state.
+
+    Different seeds can repeat a whole run — same grammar, workload and
+    document — and the ledger must serve such a repeat rather than record
+    it again.  The test keys runs itself, by content, without asking the
+    ledger: it expects one entry per distinct recorded key, and a hit for
+    every run whose key was recorded before.
     """
+    import json
+
     from repro.ledger import Ledger, replay_ledger
 
     led_path = str(tmp_path / "ledger.jsonl")
     grammars = []
-    expected_entries = 0
+    recorded_keys: set = set()
     with Ledger(led_path) as ledger:
         for seed in seeds:
             grammar, document, _, projector = _case(seed)
             grammars.append(grammar)
+            markup = serialize(document)
             doc_path = str(tmp_path / f"doc-{seed}.xml")
             with open(doc_path, "w", encoding="utf-8") as handle:
-                handle.write(serialize(document))
+                handle.write(markup)
+            grammar_key = (grammar.root, frozenset(grammar.productions.values()))
 
             fresh = prune(doc_path, grammar, projector)
+            key = ("prune", grammar_key, projector, markup)
+            hits_before, appended_before = ledger.hits, ledger.appended
             recorded = prune(doc_path, grammar, projector, ledger=ledger)
-            expected_entries += 1
+            if key in recorded_keys:
+                assert (ledger.hits, ledger.appended) == (hits_before + 1, appended_before), (
+                    f"seed {seed}: a prune repeating a recorded run was not dedup-served"
+                )
+            else:
+                assert ledger.appended == appended_before + 1, (
+                    f"seed {seed}: a new prune was not recorded"
+                )
+                recorded_keys.add(key)
             hits_before = ledger.hits
             served = prune(doc_path, grammar, projector, ledger=ledger)
             assert ledger.hits == hits_before + 1, (
@@ -390,14 +410,21 @@ def _run_ledger_axis(seeds, tmp_path):
 
             spec = random_extract_spec(grammar, seed * 17 + 3)
             efresh = extract(doc_path, grammar, spec)
-            appended_before = ledger.appended
+            key = ("extract", grammar_key, json.dumps(spec.to_wire()), markup)
+            hits_before, appended_before = ledger.hits, ledger.appended
             erecorded = extract(doc_path, grammar, spec, ledger=ledger)
-            if ledger.appended == appended_before:
+            if key in recorded_keys:
+                assert (ledger.hits, ledger.appended) == (hits_before + 1, appended_before), (
+                    f"seed {seed}: an extract repeating a recorded run was not dedup-served"
+                )
+            elif ledger.appended == appended_before:
                 # Statically short-circuited: nothing scanned, nothing to
                 # attest — the result must still match the fresh run.
+                assert ledger.hits == hits_before
                 assert erecorded.text == efresh.text
                 continue
-            expected_entries += 1
+            else:
+                recorded_keys.add(key)
             hits_before = ledger.hits
             eserved = extract(doc_path, grammar, spec, ledger=ledger)
             assert ledger.hits == hits_before + 1, (
@@ -413,9 +440,9 @@ def _run_ledger_axis(seeds, tmp_path):
                 f"seed {seed}: extract dedup hit returned different stats"
             )
 
-        assert len(ledger) == ledger.appended == expected_entries
+        assert len(ledger) == ledger.appended == len(recorded_keys)
         report = replay_ledger(ledger, grammars=grammars, jobs=2)
-    assert report.total == expected_entries
+    assert report.total == len(recorded_keys)
     assert report.ok and report.attested == report.total, (
         f"replay did not attest 100%: {report.as_dict()}"
     )

@@ -4,6 +4,7 @@ boundaries, misc nodes, CDATA, entities, deep nesting, and single-type
 grammars."""
 
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from repro.dtd.grammar import text_name
 from repro.dtd.regex import Atom, Seq, Star
 from repro.dtd.singletype import single_type_grammar
-from repro.errors import ValidationError, XMLSyntaxError
+from repro.errors import LimitExceeded, ValidationError, XMLSyntaxError
+from repro.limits import Limits
 from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
 from repro.api import prune
@@ -228,3 +230,173 @@ class TestSingleTypeGrammars:
                "<films><item><title><![CDATA[f]]></title></item></films></library>")
         projector = frozenset({"Root", "Books", "Films", "Film", "FTitle", "FText"})
         assert_paths_agree(grammar, xml, projector, chunk_size=chunk_size)
+
+
+class TestErrorPositionsInDroppedSubtrees:
+    """Errors met while bulk-skipping a dropped subtree report the exact
+    message, line and column of the per-token skip, whatever the chunk
+    size.  Each bad line sits several lines deep in a dropped <book>,
+    after multi-line attribute values and text."""
+
+    HEAD = (
+        '<bib>\n<book isbn="kept\nacross lines">\n  <title>first\n  title</title>\n'
+        '  <author>\n    <note\tkind="a&amp;b"\n          rank=\'2\'>deep\n'
+        "    text</note>\n"
+    )
+    TAIL = "  </author>\n</book>\n</bib>\n"
+    CASES = {
+        "duplicate-attribute": (
+            '    <e a="1" b="2" a="3"/>\n', "duplicate attribute 'a' on <e>", 10, 27,
+        ),
+        "attribute-entity": ('    <e a="x&nope;y"/>\n', "unknown entity &nope;", 10, 22),
+        "text-entity": ("    <e>x &nope; y</e>\n", "unknown entity &nope;", 10, 16),
+        "mismatched-end-tag": (
+            "    <e><f>t</e>\n", "mismatched closing tag </e>, expected </f>", 10, 16,
+        ),
+        "malformed-start-tag": ("    <e a=1>t</e>\n", "malformed start tag <e a=1>", 10, 12),
+        "comment-dashes": ("    <!-- a -- b -->\n", "'--' not allowed inside a comment", 10, 20),
+        "unclosed-element": (None, "unclosed element <e>", 10, 12),
+    }
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("via", ["prune", "events"])
+    def test_error_position(self, book_grammar, case, chunk_size, via):
+        bad, message, line, column = self.CASES[case]
+        xml = self.HEAD + (bad + self.TAIL if bad is not None else "    <e>tail")
+        projector = frozenset({"bib"})
+        with pytest.raises(XMLSyntaxError) as caught:
+            if via == "prune":
+                prune(xml, book_grammar, projector, fast=True, chunk_size=chunk_size)
+            else:
+                list(FastPruner(book_grammar, projector).events(io.StringIO(xml), chunk_size))
+        error = caught.value
+        assert (str(error), error.line, error.column) == (
+            f"{message} (line {line}, column {column})", line, column,
+        )
+
+
+_SPACE = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "\x85", "\u3000"]), max_size=2,
+).map("".join)
+_TAG_NAME = st.sampled_from(["title", "author", "x", "a.b-c", "_:z", "ñame", "名前"])
+
+
+def _faulty(faults, usual, unusual):
+    """``usual``, or when ``faults`` is set ``unusual`` one time in ten."""
+    return st.sampled_from([usual] * 9 + [unusual] if faults else [usual])
+
+
+@st.composite
+def _attribute(draw, faults):
+    name = draw(_faulty(faults, draw(st.sampled_from(["a", "b", "ü", "k:v"])), ""))
+    quote = draw(st.sampled_from(['"', "'"]))
+    pieces = ["v", ">", "<", "&amp;", "&#65;", " ", "\n"]
+    value = "".join(draw(st.lists(
+        st.sampled_from(pieces + ["'", '"'] if faults else pieces), max_size=4,
+    )))
+    return (
+        draw(_SPACE.filter(bool) | st.just(" ")) + name + draw(_SPACE)
+        + draw(_faulty(faults, "=", "")) + draw(_SPACE)
+        + quote + value + draw(_faulty(faults, quote, ""))
+    )
+
+
+@st.composite
+def _element(draw, faults):
+    name = draw(_faulty(faults, draw(_TAG_NAME), ""))
+    start = "<" + name + "".join(draw(st.lists(_attribute(faults), max_size=3)))
+    start += draw(_SPACE)
+    ending = draw(st.sampled_from([">", "/>"]))
+    ending = draw(_faulty(faults, ending, "/ >"))
+    if ending != ">":
+        return start + ending
+    text = draw(st.sampled_from(["", "t", "a &amp; b", "\n  ", "x<!--c-->y"]))
+    end_name = draw(_faulty(faults, name, "x"))
+    return start + ending + text + "</" + end_name + draw(_SPACE) + ">"
+
+
+_ELEMENTS = st.booleans().flatmap(
+    lambda faults: st.lists(_element(faults), min_size=1, max_size=4)
+)
+
+
+class TestTagSpellingParity:
+    """Dropped subtrees full of generated tag spellings: the default
+    chunk (one token regex over the buffer) and ``chunk_size=1`` (the
+    per-token skip) agree on verdict, message, position, output and
+    stats; where the event pipeline accepts, the fast path equals it."""
+
+    @staticmethod
+    def _outcome(xml, grammar, projector, **options):
+        try:
+            result = prune(xml, grammar, projector, **options)
+        except (XMLSyntaxError, ValidationError) as error:
+            return ("error", type(error).__name__, str(error), getattr(error, "line", None),
+                    getattr(error, "column", None))
+        return ("ok", result.text, _statdict(result.stats))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ELEMENTS, _SPACE)
+    def test_skip_paths_agree(self, book_grammar, elements, gap):
+        xml = ('<bib><book isbn="1"><title>kept</title><author>\n' + gap.join(elements)
+               + '</author></book>\n</bib>')
+        projector = frozenset({"bib", "book", "title", text_name("title")})
+        regex = self._outcome(xml, book_grammar, projector, fast=True)
+        per_token = self._outcome(xml, book_grammar, projector, fast=True, chunk_size=1)
+        assert regex == per_token
+        events = self._outcome(xml, book_grammar, projector, fast=False)
+        if events[0] == "ok":
+            assert regex == events
+
+    def test_non_ascii_spaces_do_not_backtrack(self, book_grammar):
+        # Non-ASCII spaces are name characters, never tag whitespace, so a
+        # malformed tag full of them fails in linear time.
+        tag = "<e" + ' a\u3000\u3000="1"' * 40 + " b=1>"
+        xml = f"<bib><book><title>t</title><author>{tag}</e></author></book></bib>"
+        started = time.perf_counter()
+        for fast in (True, False):
+            with pytest.raises(XMLSyntaxError):
+                prune(xml, book_grammar, frozenset({"bib"}), fast=fast)
+        assert time.perf_counter() - started < 5
+
+
+class TestTokenRuleInsideDroppedSubtrees:
+    """A tag deep in a dropped subtree that the token rule may charge
+    (its span exceeds ``max_token_bytes``) takes the per-token path even
+    when the buffer holds all of it: every chunk size gives the event
+    pipeline's verdict."""
+
+    LIMITS = Limits(max_token_bytes=500)
+
+    @pytest.mark.parametrize(
+        "tag, verdict",
+        [
+            (f'<e a="{"v" * 500}">', "ok"),
+            (f'<e a="{"v" * 501}">', "token_bytes"),
+            (f"<e a='{'v' * 501}'>", "token_bytes"),
+            (f'<e {"n" * 501}="v">', "token_bytes"),
+            (f'<e {"n" * 500}="v">', "ok"),
+            (f'<e{" " * 2000}a="v"{" " * 2000}>', "ok"),
+            (f'<{"n" * 501}>', "token_bytes"),
+        ],
+        ids=["value-at-max", "value-over", "single-quoted-over", "name-over",
+             "name-at-max", "spaces-between", "element-name-over"],
+    )
+    @pytest.mark.parametrize("chunk_size", [1, 64, 1 << 16])
+    def test_verdicts_agree(self, book_grammar, tag, verdict, chunk_size):
+        name = tag[1:].split(" ")[0].split(">")[0]
+        xml = (f"<bib><book><title>t</title><author>x{tag}y</{name}{' ' * 600}>"
+               "</author></book></bib>")
+        projector = frozenset({"bib"})
+
+        def outcome(**options):
+            try:
+                return "ok", prune(xml, book_grammar, projector, limits=self.LIMITS,
+                                   **options).text
+            except LimitExceeded as error:
+                return error.limit, None
+
+        fast = outcome(chunk_size=chunk_size)
+        assert fast == outcome(fast=False)
+        assert fast[0] == verdict

@@ -130,6 +130,8 @@ class TestErrors:
             "<a><!-- -- --></a>",  # '--' in comment
             "<a>&unterminated",  # bad entity
             "<a x=1/>",  # unquoted attribute
+            "<a x='1'y='2'/>",  # no whitespace between attributes
+            "<a x='1'\u3000y='2'/>",  # a non-XML space is a name character
         ],
     )
     def test_malformed_raises(self, bad):
